@@ -5,7 +5,8 @@
 //!
 //! `cold_run` pays the full build on every iteration; `prepared_query` pays
 //! only the probe, which is what a serving system pays per request once the
-//! corpus state is resident.
+//! corpus state is resident.  `query_one` is the per-point cost of that
+//! probe: one object answered directly on the caller's thread.
 
 use bench::Workloads;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -51,6 +52,18 @@ fn bench_prepared_serving(c: &mut Criterion) {
             &prepared,
             |b, prepared| {
                 b.iter(|| prepared.query(&data).expect("prepared query"));
+            },
+        );
+        let points = data.points();
+        group.bench_with_input(
+            BenchmarkId::new("query_one", algorithm.name()),
+            &prepared,
+            |b, prepared| {
+                let mut next = points.iter().cycle();
+                b.iter(|| {
+                    let point = next.next().expect("non-empty workload");
+                    prepared.query_one(point).expect("query_one")
+                });
             },
         );
     }

@@ -8,12 +8,9 @@
 //! the shuffle-cost comparisons.  A single job suffices (no merge phase),
 //! since every reducer sees all of `S`.
 
-use crate::algorithms::common::{
-    counters, flat_block_scan, DeltaBlock, EncodedRecord, TileScratch,
-};
+use crate::algorithms::common::{counters, flat_block_scan, EncodedRecord, TileScratch};
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::context::ExecutionContext;
-use crate::delta::DeltaOverlay;
 use crate::exact::{shadow_coords, validate_inputs};
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::{JoinError, JoinResult, JoinRow};
@@ -21,7 +18,6 @@ use geom::{
     CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointSet, RecordKind,
 };
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of [`BroadcastJoin`].
@@ -224,179 +220,6 @@ impl Reducer for BroadcastReducer {
             }
             ctx.counters()
                 .add(counters::DISTANCE_COMPUTATIONS, s_block.len() as u64);
-            ctx.emit(r_obj.id, list.into_sorted());
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Prepared (build/probe) serving path
-// ---------------------------------------------------------------------------
-
-/// The prepared broadcast state: `S` flattened once into columnar storage.
-/// In Hadoop terms the build is the broadcast itself — `S` is staged at
-/// every node once — so probe batches ship only `R` and scan the resident
-/// copy.
-#[derive(Debug)]
-pub(crate) struct BroadcastPrepared {
-    ids: Vec<geom::PointId>,
-    coords: CoordMatrix,
-    /// `f32` shadow of `coords`, present only in `RankF32` mode.
-    coords32: Option<Vec<f32>>,
-    mode: KernelMode,
-}
-
-impl BroadcastPrepared {
-    /// Flattens `S` (and downcasts the `f32` shadow when `mode` wants one).
-    pub(crate) fn build(s: &PointSet, mode: KernelMode, metrics: &mut JoinMetrics) -> Self {
-        let start = Instant::now();
-        let coords = CoordMatrix::from_point_set(s);
-        let coords32 = shadow_coords(&coords, mode);
-        let prepared = Self {
-            ids: s.iter().map(|p| p.id).collect(),
-            coords,
-            coords32,
-            mode,
-        };
-        metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
-        prepared
-    }
-
-    /// Answers one probe batch: exhaustive scan of the resident flat `S`
-    /// (minus tombstones, plus the memtable's adds) per object, one serve
-    /// job.
-    pub(crate) fn probe(
-        &self,
-        r: &PointSet,
-        plan: &crate::plan::JoinPlan,
-        ctx: &ExecutionContext,
-        delta: Option<&Arc<DeltaOverlay>>,
-        metrics: &mut JoinMetrics,
-    ) -> Result<Vec<JoinRow>, JoinError> {
-        use crate::algorithms::common::{encode_probe_batch, run_serve_job, HashRouteMapper};
-
-        run_serve_job(
-            "broadcast-serve",
-            encode_probe_batch(r),
-            plan.reducers,
-            plan.map_tasks,
-            ctx.workers(),
-            &HashRouteMapper {
-                reducers: plan.reducers,
-            },
-            &BroadcastServeReducer {
-                prepared: self,
-                k: plan.k,
-                metric: plan.metric,
-                delta: delta.map(Arc::clone),
-                delta_block: if self.mode.is_exact() {
-                    None
-                } else {
-                    delta
-                        .and_then(|d| DeltaBlock::from_overlay(d, self.coords.dims()).map(Arc::new))
-                },
-            },
-            metrics,
-        )
-    }
-
-    /// Re-flattens the materialized corpus (frozen survivors in arrival
-    /// order, then adds in ascending id order — the canonical
-    /// materialization order, so the compacted scan is bit-identical to a
-    /// cold build over the same corpus), keeping this epoch's kernel mode.
-    pub(crate) fn compact(&self, materialized: &PointSet, metrics: &mut JoinMetrics) -> Self {
-        metrics.compacted_points += materialized.len() as u64;
-        Self::build(materialized, self.mode, metrics)
-    }
-}
-
-/// Serve reducer: the cold [`BroadcastReducer`] scan against the resident
-/// flat `S`, with tombstoned rows masked and the memtable's adds appended
-/// when a delta overlay is present.
-struct BroadcastServeReducer<'a> {
-    prepared: &'a BroadcastPrepared,
-    k: usize,
-    metric: DistanceMetric,
-    delta: Option<Arc<DeltaOverlay>>,
-    /// The overlay's adds in flat layout, gathered once per probe so the
-    /// non-exact scan streams them through the batch kernels.
-    delta_block: Option<Arc<DeltaBlock>>,
-}
-
-impl Reducer for BroadcastServeReducer<'_> {
-    type KIn = u32;
-    type VIn = EncodedRecord;
-    type KOut = u64;
-    type VOut = Vec<Neighbor>;
-
-    fn reduce(
-        &self,
-        _key: &u32,
-        values: &[EncodedRecord],
-        ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
-    ) {
-        if !self.prepared.mode.is_exact() {
-            let mut scratch = TileScratch::new();
-            for value in values {
-                let r_obj = value.decode().point;
-                let (neighbors, counts) = flat_block_scan(
-                    &r_obj.coords,
-                    &self.prepared.ids,
-                    &self.prepared.coords,
-                    self.prepared.coords32.as_deref(),
-                    self.k,
-                    self.metric,
-                    self.delta.as_deref(),
-                    self.delta_block.as_deref(),
-                    &mut scratch,
-                );
-                ctx.counters()
-                    .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
-                ctx.counters()
-                    .add(counters::DELTA_PROBE_COMPUTATIONS, counts.delta);
-                ctx.counters()
-                    .add(counters::TOMBSTONE_MASKED, counts.masked);
-                ctx.emit(r_obj.id, neighbors);
-            }
-            return;
-        }
-        let kernel = self.metric.kernel();
-        for value in values {
-            let r_obj = value.decode().point;
-            let mut list = NeighborList::new(self.k);
-            match self.delta.as_deref() {
-                None => {
-                    for (i, row) in self.prepared.coords.rows().enumerate() {
-                        list.offer(self.prepared.ids[i], kernel(&r_obj.coords, row));
-                    }
-                    ctx.counters().add(
-                        counters::DISTANCE_COMPUTATIONS,
-                        self.prepared.ids.len() as u64,
-                    );
-                }
-                Some(overlay) => {
-                    let mut masked = 0u64;
-                    for (i, row) in self.prepared.coords.rows().enumerate() {
-                        if overlay.is_tombstoned(self.prepared.ids[i]) {
-                            masked += 1;
-                            continue;
-                        }
-                        list.offer(self.prepared.ids[i], kernel(&r_obj.coords, row));
-                    }
-                    let mut delta_computations = 0u64;
-                    for (id, coords) in overlay.adds() {
-                        list.offer(id, kernel(&r_obj.coords, coords));
-                        delta_computations += 1;
-                    }
-                    ctx.counters().add(
-                        counters::DISTANCE_COMPUTATIONS,
-                        self.prepared.ids.len() as u64 - masked,
-                    );
-                    ctx.counters()
-                        .add(counters::DELTA_PROBE_COMPUTATIONS, delta_computations);
-                    ctx.counters().add(counters::TOMBSTONE_MASKED, masked);
-                }
-            }
             ctx.emit(r_obj.id, list.into_sorted());
         }
     }

@@ -1,12 +1,15 @@
 //! Pieces shared by the MapReduce join algorithms: the serialised record
 //! value type used across shuffles, the neighbour-list value type used by the
-//! merge jobs, and counter names.
+//! merge jobs, counter names, the candidate scans, and the direct probe
+//! loop and Voronoi state of the prepared PGBJ / PBJ path.
 
-use crate::bounds::{hyperplane_bound, theorem2_window};
+use crate::bounds::{bounding_knn_theta, hyperplane_bound, theorem2_window};
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::partition::VoronoiPartitioner;
-use crate::result::{JoinError, JoinRow};
+use crate::pivots::select_pivots_with_mode;
+use crate::plan::{Algorithm, JoinPlan};
+use crate::result::JoinRow;
 use crate::summary::{
     build_s_summaries, pivot_distance_matrix, RPartitionSummary, SPartitionSummary, SummaryTables,
 };
@@ -15,9 +18,7 @@ use geom::{
     CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId, PointSet,
     Record, RecordKind,
 };
-use mapreduce::{
-    ByteSize, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
-};
+use mapreduce::ByteSize;
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -240,6 +241,14 @@ pub(crate) struct ScanCounts {
     pub delta: u64,
     /// Frozen candidates discarded because their id is tombstoned.
     pub masked: u64,
+}
+
+impl std::ops::AddAssign for ScanCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.frozen += other.frozen;
+        self.delta += other.delta;
+        self.masked += other.masked;
+    }
 }
 
 /// [`bounded_knn_scan`] extended with the S-delta memtable of a mutated
@@ -638,12 +647,71 @@ pub(crate) fn flat_block_scan(
 // Prepared (build/probe) serving support
 // ---------------------------------------------------------------------------
 
-/// The long-lived S-side state shared by the prepared PGBJ and PBJ paths: the
-/// pivot machinery, the Voronoi-partitioned `S` in flat columnar layout, the
-/// `T_S` summary table and the per-partition scan orders.  Everything here
-/// depends only on `S`, the pivot set and the plan — probe batches of `R`
-/// reuse it unchanged, which is what keeps `pivot_selections` flat across
-/// queries.
+/// Smallest slice of a probe batch worth a worker thread of its own.  A batch
+/// shorter than twice this (a single point in particular) runs inline on the
+/// caller's thread; a longer one is split into at most `workers` contiguous,
+/// near-equal chunks, never more than one chunk per this many objects.
+///
+/// Sized by measurement on a 2-vCPU VM: spawning and joining the scoped
+/// threads of one split costs about 55 µs, while one probe object costs from
+/// about 5 µs (PGBJ or H-zkNNJ over a 50,000-point OSM-like 2-d corpus,
+/// k = 10) up to hundreds of µs (H-BRJ or the flat scan over Forest-like
+/// 10-d).  A 64-object chunk therefore carries at least about six times its
+/// thread's overhead, and the small batches a serving coalescer flushes never
+/// pay it at all.
+pub const MIN_PROBE_CHUNK: usize = 64;
+
+/// Runs a prepared probe over `r` directly, with no MapReduce job: the batch
+/// is split into at most `workers` contiguous chunks (see
+/// [`MIN_PROBE_CHUNK`]), each chunk is answered by `probe_chunk(first,
+/// chunk, counts)` — `first` is the chunk's offset in `r` — on the engine's
+/// worker pool, and the rows come back in `r` order.  The chunks' scan
+/// counters are folded into `metrics`, and the whole scan is reported as the
+/// `knn join` phase.
+pub(crate) fn probe_in_chunks<F>(
+    r: &PointSet,
+    workers: usize,
+    metrics: &mut JoinMetrics,
+    probe_chunk: F,
+) -> Vec<JoinRow>
+where
+    F: Fn(usize, &[Point], &mut ScanCounts) -> Vec<JoinRow> + Sync,
+{
+    let start = Instant::now();
+    let points = r.points();
+    let chunks = workers.min(points.len() / MIN_PROBE_CHUNK).max(1);
+    let chunk_len = points.len().div_ceil(chunks).max(1);
+    let parts = mapreduce::parallel_map(
+        points.chunks(chunk_len).collect(),
+        chunks,
+        |index, chunk| {
+            let mut counts = ScanCounts::default();
+            let rows = probe_chunk(index * chunk_len, chunk, &mut counts);
+            (rows, counts)
+        },
+    );
+    let mut rows = Vec::with_capacity(points.len());
+    for (chunk_rows, counts) in parts {
+        rows.extend(chunk_rows);
+        metrics.distance_computations += counts.frozen;
+        metrics.delta_probe_computations += counts.delta;
+        metrics.tombstone_masked += counts.masked;
+    }
+    metrics.record_phase(phases::KNN_JOIN, start.elapsed());
+    rows
+}
+
+/// The prepared PGBJ / PBJ state: the pivot machinery, the
+/// Voronoi-partitioned `S` in flat columnar layout, the `T_S` summary table
+/// and the per-partition scan orders.  Everything here depends only on `S`,
+/// the pivot set and the plan — probe batches of `R` reuse it unchanged,
+/// which is what keeps `pivot_selections` flat across queries.
+///
+/// PGBJ and PBJ share this one type: with `S` resident there is nothing to
+/// group or replicate, so both probe with the same assignment, the same
+/// Algorithm 1 bound over the full `T_S` and the same Algorithm 3 scan, and
+/// report the same counters.  They differ only in the name of the phase the
+/// bound is reported under.
 #[derive(Debug)]
 pub(crate) struct VoronoiServeState {
     /// Pivot assignment machinery (flat pivot matrix + pruned search);
@@ -667,21 +735,43 @@ pub(crate) struct VoronoiServeState {
     /// How probe scans evaluate distances (`Exact` = the bit-identical
     /// Algorithm 3 loop; `Fast` / `RankF32` = the tiled batch-kernel scan).
     pub mode: KernelMode,
+    /// The phase the per-batch `θ_i` computation is reported under: the
+    /// step of the cold algorithm it stands in for (`partition grouping`
+    /// for PGBJ, `index merging` for PBJ), so traced ledgers of the two
+    /// stay comparable with their cold runs.
+    pub bounds_phase: &'static str,
 }
 
 impl VoronoiServeState {
-    /// Builds the serving state from the pivot set and `S`.
-    pub(crate) fn build(
-        pivots: Vec<Point>,
-        metric: DistanceMetric,
+    /// Builds the S-side state for a PGBJ or PBJ plan: pivot selection +
+    /// `S` partitioning + summaries.  `calibration_r` seeds pivot selection
+    /// (the paper draws pivots from `R`), exactly as the cold path would;
+    /// the resulting state serves arbitrary probe batches because the
+    /// correctness of every bound holds for any pivot set.
+    pub(crate) fn prepare(
+        calibration_r: &PointSet,
         s: &PointSet,
-        k: usize,
-        mode: KernelMode,
+        plan: &JoinPlan,
+        metrics: &mut JoinMetrics,
     ) -> Self {
+        let start = Instant::now();
+        let pivots = select_pivots_with_mode(
+            calibration_r,
+            plan.pivot_count,
+            plan.pivot_strategy,
+            plan.pivot_sample_size,
+            plan.metric,
+            plan.seed,
+            plan.kernel_mode,
+        );
+        metrics.record_phase(phases::PIVOT_SELECTION, start.elapsed());
+        metrics.pivot_selections = 1;
+        let start = Instant::now();
+        let (metric, mode) = (plan.metric, plan.kernel_mode);
         let partitioner = Arc::new(VoronoiPartitioner::new_with_mode(pivots, metric, mode));
         let pivots = Arc::new(partitioner.pivots().to_vec());
         let partitioned_s = partitioner.partition(s);
-        let s_summaries = Arc::new(build_s_summaries(&partitioned_s, k));
+        let s_summaries = Arc::new(build_s_summaries(&partitioned_s, plan.k));
         let pivot_distances = Arc::new(pivot_distance_matrix(&pivots, metric));
         let dims = partitioner.pivot_matrix().dims();
         let mut s_parts: BTreeMap<usize, Arc<FlatPartition>> = BTreeMap::new();
@@ -701,6 +791,7 @@ impl VoronoiServeState {
             &pivot_distances,
             partitioner.partition_count(),
         ));
+        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
         Self {
             partitioner,
             pivots,
@@ -709,7 +800,104 @@ impl VoronoiServeState {
             pivot_distances,
             s_orders,
             mode,
+            bounds_phase: match plan.algorithm {
+                Algorithm::Pbj => phases::INDEX_MERGING,
+                _ => phases::PARTITION_GROUPING,
+            },
         }
+    }
+
+    /// Answers one probe batch directly over the resident cells: assign `R`
+    /// to cells, derive `θ_i` for the cells the batch occupies, then run
+    /// Algorithm 3's bounded scan per object (merged with the delta overlay
+    /// when one is present), split across the worker pool.
+    ///
+    /// The Theorem 6 routing and the reducer grouping of the cold path are
+    /// unnecessary here — no `S` record moves — so pruning is carried
+    /// entirely by Corollary 1, Theorem 2 and the per-partition `θ_i` bound.
+    /// `θ_i` uses the full resident `T_S`, the tight bound cold PGBJ
+    /// computes (cold PBJ only had its block's looser one).
+    pub(crate) fn probe(
+        &self,
+        r: &PointSet,
+        plan: &JoinPlan,
+        workers: usize,
+        delta: Option<&DeltaOverlay>,
+        metrics: &mut JoinMetrics,
+    ) -> Vec<JoinRow> {
+        let start = Instant::now();
+        let (assignments, computations) = self.assign_batch(r);
+        metrics.pivot_assignment_computations += computations;
+        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
+
+        let start = Instant::now();
+        let tables = self.query_tables(&assignments);
+        // θ_i promises that partition i alone holds k objects within θ_i of
+        // any r assigned there — a promise the frozen T_S cannot keep once
+        // objects are deleted, so tombstones demote θ to the running kth
+        // distance alone.  Only the cells the batch occupies need a bound.
+        let tombstoned = delta.is_some_and(|d| d.tombstones_len() > 0);
+        let theta: Vec<f64> = tables
+            .r_summaries
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                if tombstoned || cell.count == 0 {
+                    f64::INFINITY
+                } else {
+                    bounding_knn_theta(&tables, i, plan.k)
+                }
+            })
+            .collect();
+        metrics.record_phase(self.bounds_phase, start.elapsed());
+
+        let delta_block = if self.mode.is_exact() {
+            None
+        } else {
+            delta.and_then(|d| DeltaBlock::from_overlay(d, self.partitioner.pivot_matrix().dims()))
+        };
+        probe_in_chunks(r, workers, metrics, |first, chunk, counts| {
+            chunk
+                .iter()
+                .zip(&assignments[first..])
+                .map(|(r_obj, &(partition, pivot_dist))| {
+                    let i = partition as usize;
+                    let (neighbors, scanned) = if self.mode.is_exact() {
+                        bounded_knn_scan_delta(
+                            r_obj,
+                            pivot_dist,
+                            i,
+                            &self.s_parts,
+                            &self.s_orders[i],
+                            &tables,
+                            theta[i],
+                            plan.k,
+                            plan.metric,
+                            delta,
+                        )
+                    } else {
+                        bounded_knn_scan_tiled(
+                            r_obj,
+                            pivot_dist,
+                            i,
+                            &self.s_parts,
+                            &self.s_orders[i],
+                            &tables,
+                            theta[i],
+                            plan.k,
+                            plan.metric,
+                            delta,
+                            delta_block.as_ref(),
+                        )
+                    };
+                    *counts += scanned;
+                    JoinRow {
+                        r_id: r_obj.id,
+                        neighbors,
+                    }
+                })
+                .collect()
+        })
     }
 
     /// Folds a delta overlay into the serving state, rebuilding *only* the
@@ -799,6 +987,7 @@ impl VoronoiServeState {
             pivot_distances: Arc::clone(&self.pivot_distances),
             s_orders,
             mode: self.mode,
+            bounds_phase: self.bounds_phase,
         }
     }
 
@@ -892,7 +1081,7 @@ fn summarize_flat_partition(partition: usize, flat: &FlatPartition, k: usize) ->
         upper = upper.max(d);
     }
     let mut dists = flat.pivot_dists.clone();
-    dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
+    dists.sort_by(f64::total_cmp);
     dists.truncate(k);
     SPartitionSummary {
         partition,
@@ -900,174 +1089,6 @@ fn summarize_flat_partition(partition: usize, flat: &FlatPartition, k: usize) ->
         lower,
         upper,
         knn_distances: dists,
-    }
-}
-
-/// Encodes a probe batch as job input, embedding each object's partition and
-/// pivot distance from the batch assignment.
-pub(crate) fn encode_assigned_batch(
-    r: &PointSet,
-    assignments: &[(u32, f64)],
-) -> Vec<(u64, EncodedRecord)> {
-    r.iter()
-        .zip(assignments)
-        .map(|(p, (partition, dist))| {
-            (
-                p.id,
-                EncodedRecord::from_parts(RecordKind::R, *partition, *dist, p),
-            )
-        })
-        .collect()
-}
-
-/// Encodes a probe batch as job input without partition information (the
-/// prepared paths that need no Voronoi assignment: H-BRJ, H-zkNNJ,
-/// broadcast).
-pub(crate) fn encode_probe_batch(r: &PointSet) -> Vec<(u64, EncodedRecord)> {
-    r.iter()
-        .map(|p| (p.id, EncodedRecord::from_parts(RecordKind::R, 0, 0.0, p)))
-        .collect()
-}
-
-/// Runs one prepared probe job end to end: the single MapReduce job every
-/// `*Prepared::probe` shares (only the mapper, the reducer and the reducer
-/// count differ per algorithm), including the `knn join` phase timing, the
-/// substrate error mapping and the row collection.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_serve_job<M, R>(
-    name: &'static str,
-    input: Vec<(u64, EncodedRecord)>,
-    reducers: usize,
-    map_tasks: usize,
-    workers: usize,
-    mapper: &M,
-    reducer: &R,
-    metrics: &mut JoinMetrics,
-) -> Result<Vec<JoinRow>, JoinError>
-where
-    M: Mapper<KIn = u64, VIn = EncodedRecord, KOut = u32, VOut = EncodedRecord>,
-    R: Reducer<KIn = u32, VIn = EncodedRecord, KOut = u64, VOut = Vec<Neighbor>>,
-{
-    let start = Instant::now();
-    let job = JobBuilder::new(name)
-        .reducers(reducers)
-        .map_tasks(map_tasks)
-        .workers(workers)
-        .run_with_partitioner(input, mapper, reducer, &IdentityPartitioner)
-        .map_err(|e| JoinError::substrate(name, e))?;
-    metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-    metrics.absorb_job(&job.metrics);
-    Ok(job
-        .output
-        .into_iter()
-        .map(|(r_id, neighbors)| JoinRow { r_id, neighbors })
-        .collect())
-}
-
-/// Mapper of the prepared probe jobs: route each `R` record to the reducer
-/// `id mod reducers` (the same modulo placement the cold broadcast join
-/// uses).  Only `R` crosses the shuffle — the `S` side is resident in the
-/// prepared state.
-pub(crate) struct HashRouteMapper {
-    /// Number of reducers of the probe job.
-    pub reducers: usize,
-}
-
-impl Mapper for HashRouteMapper {
-    type KIn = u64;
-    type VIn = EncodedRecord;
-    type KOut = u32;
-    type VOut = EncodedRecord;
-
-    fn map(&self, key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
-        ctx.counters().increment(counters::R_RECORDS);
-        ctx.emit((key % self.reducers as u64) as u32, value.clone());
-    }
-}
-
-/// Reducer of the prepared PGBJ / PBJ probe jobs: the bounded Algorithm 3
-/// scan of one batch slice against the resident flat `S` partitions.  The
-/// Theorem 6 routing of the cold path is unnecessary here — no `S` record
-/// crosses the shuffle — so pruning is carried entirely by Corollary 1,
-/// Theorem 2 and the per-partition `θ_i` bound.
-pub(crate) struct VoronoiServeReducer {
-    /// Resident flat `S` partitions.
-    pub s_parts: Arc<BTreeMap<usize, Arc<FlatPartition>>>,
-    /// Prebuilt per-partition scan orders.
-    pub s_orders: Arc<Vec<Vec<usize>>>,
-    /// Per-batch summary tables (fresh `T_R`, prebuilt `T_S`).
-    pub tables: Arc<SummaryTables>,
-    /// Per-batch `θ_i` bounds (Algorithm 1); all `∞` when the delta overlay
-    /// carries tombstones (deletions can break the `T_S`-derived bound).
-    pub theta: Arc<Vec<f64>>,
-    /// Neighbours per object.
-    pub k: usize,
-    /// Distance metric.
-    pub metric: DistanceMetric,
-    /// The S-delta memtable of a mutated prepared join; `None` keeps the
-    /// scan (and its counters) bit-identical to the frozen-only path.
-    pub delta: Option<Arc<DeltaOverlay>>,
-    /// Kernel mode of the scan; `Exact` runs [`bounded_knn_scan_delta`]
-    /// untouched, anything else the tiled batch-kernel twin.
-    pub mode: KernelMode,
-    /// The overlay's adds pre-gathered into flat layout for the tiled scan
-    /// (built once per probe; `None` in `Exact` mode or with no adds).
-    pub delta_block: Option<Arc<DeltaBlock>>,
-}
-
-impl Reducer for VoronoiServeReducer {
-    type KIn = u32;
-    type VIn = EncodedRecord;
-    type KOut = u64;
-    type VOut = Vec<Neighbor>;
-
-    fn reduce(
-        &self,
-        _key: &u32,
-        values: &[EncodedRecord],
-        ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
-    ) {
-        for value in values {
-            let record = value.decode();
-            let i = record.partition as usize;
-            let (neighbors, counts) = if self.mode.is_exact() {
-                bounded_knn_scan_delta(
-                    &record.point,
-                    record.pivot_distance,
-                    i,
-                    &self.s_parts,
-                    &self.s_orders[i],
-                    &self.tables,
-                    self.theta[i],
-                    self.k,
-                    self.metric,
-                    self.delta.as_deref(),
-                )
-            } else {
-                bounded_knn_scan_tiled(
-                    &record.point,
-                    record.pivot_distance,
-                    i,
-                    &self.s_parts,
-                    &self.s_orders[i],
-                    &self.tables,
-                    self.theta[i],
-                    self.k,
-                    self.metric,
-                    self.delta.as_deref(),
-                    self.delta_block.as_deref(),
-                )
-            };
-            ctx.counters()
-                .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
-            if self.delta.is_some() {
-                ctx.counters()
-                    .add(counters::DELTA_PROBE_COMPUTATIONS, counts.delta);
-                ctx.counters()
-                    .add(counters::TOMBSTONE_MASKED, counts.masked);
-            }
-            ctx.emit(record.point.id, neighbors);
-        }
     }
 }
 
@@ -1103,6 +1124,18 @@ mod tests {
         // identical shuffle accounting) without cloning the point.
         let borrowed = EncodedRecord::from_parts(RecordKind::S, 3, 1.5, &record.point);
         assert_eq!(borrowed, enc);
+    }
+
+    #[test]
+    fn a_nan_pivot_distance_in_a_flat_cell_does_not_panic() {
+        let mut flat = FlatPartition::new(1);
+        flat.push(&Point::new(1, vec![0.0]), 3.0);
+        flat.push(&Point::new(2, vec![f64::NAN]), f64::NAN);
+        flat.push(&Point::new(3, vec![1.0]), 1.0);
+        let summary = summarize_flat_partition(4, &flat, 2);
+        assert_eq!((summary.partition, summary.count), (4, 3));
+        // `total_cmp` orders NaN after every finite distance.
+        assert_eq!(summary.knn_distances, vec![1.0, 3.0]);
     }
 
     #[test]

@@ -17,14 +17,16 @@
 //! `B` (the `index_builds` metric).
 
 use crate::algorithms::blocks::{block_count, run_block_framework};
-use crate::algorithms::common::{counters, EncodedRecord, NeighborListValue};
+use crate::algorithms::common::{
+    counters, probe_in_chunks, EncodedRecord, NeighborListValue, ScanCounts,
+};
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
 use crate::exact::validate_inputs;
 use crate::metrics::JoinMetrics;
-use crate::result::{JoinError, JoinResult};
-use geom::{DistanceMetric, KernelMode, Point, PointSet, RecordKind};
+use crate::result::{JoinError, JoinResult, JoinRow};
+use geom::{DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointSet, RecordKind};
 use mapreduce::{ReduceContext, Reducer};
 use spatial::RTree;
 use std::sync::{Arc, OnceLock};
@@ -218,10 +220,9 @@ impl Reducer for HbrjCellReducer {
 // ---------------------------------------------------------------------------
 
 /// The prepared H-BRJ state: the `B = ⌊√N⌋` per-block R-trees, bulk-loaded
-/// once at build time.  A probe batch ships only `R` records; each serve
-/// reducer probes all `B` resident trees per object and keeps the global
-/// top-`k` — no per-query tree builds (`index_builds` stays flat) and no
-/// merge job (every reducer sees the full `S` index set).
+/// once at build time.  A probe searches all `B` resident trees per object
+/// and keeps the global top-`k` — no per-query tree builds (`index_builds`
+/// stays flat), no shuffle and no merge job.
 #[derive(Debug)]
 pub(crate) struct HbrjPrepared {
     trees: Vec<Arc<RTree>>,
@@ -258,35 +259,70 @@ impl HbrjPrepared {
         Self { trees }
     }
 
-    /// Answers one probe batch with a single serve job over the resident
-    /// trees (merged with the delta overlay when one is present).
+    /// Answers one probe batch directly over the resident trees (merged with
+    /// the delta overlay when one is present), split across the worker pool.
     pub(crate) fn probe(
         &self,
         r: &PointSet,
         plan: &crate::plan::JoinPlan,
-        ctx: &ExecutionContext,
-        delta: Option<&Arc<DeltaOverlay>>,
+        workers: usize,
+        delta: Option<&DeltaOverlay>,
         metrics: &mut JoinMetrics,
-    ) -> Result<Vec<crate::result::JoinRow>, JoinError> {
-        use crate::algorithms::common::{encode_probe_batch, run_serve_job, HashRouteMapper};
+    ) -> Vec<JoinRow> {
+        probe_in_chunks(r, workers, metrics, |_, chunk, counts| {
+            chunk
+                .iter()
+                .map(|r_obj| JoinRow {
+                    r_id: r_obj.id,
+                    neighbors: self.probe_point(r_obj, plan.k, plan.metric, delta, counts),
+                })
+                .collect()
+        })
+    }
 
-        run_serve_job(
-            "hbrj-serve",
-            encode_probe_batch(r),
-            plan.reducers,
-            plan.map_tasks,
-            ctx.workers(),
-            &HashRouteMapper {
-                reducers: plan.reducers,
-            },
-            &HbrjServeReducer {
-                trees: self.trees.clone(),
-                k: plan.k,
-                metric: plan.metric,
-                delta: delta.map(Arc::clone),
-            },
-            metrics,
-        )
+    /// Best-first kNN of one object against every resident block tree,
+    /// merged into the global top-`k`.
+    fn probe_point(
+        &self,
+        r_obj: &Point,
+        k: usize,
+        metric: DistanceMetric,
+        delta: Option<&DeltaOverlay>,
+        counts: &mut ScanCounts,
+    ) -> Vec<Neighbor> {
+        let Some(overlay) = delta else {
+            // One shared accumulator across the block trees: the k-th
+            // distance found in earlier trees prunes later ones, which the
+            // cold path's independent per-cell searches cannot do.
+            let mut list = NeighborList::new(k);
+            for tree in &self.trees {
+                counts.frozen += tree.knn_into(r_obj, &mut list);
+            }
+            return list.into_sorted();
+        };
+        // The trees still index tombstoned objects, so up to
+        // t = |tombstones| of the best frozen hits may be dead.  Oversampling
+        // to k + t guarantees the top-(k + t) frozen candidates contain the
+        // top-k *live* frozen candidates; tombstones are masked afterwards
+        // and the survivors are re-ranked together with the memtable's adds.
+        let mut frozen = NeighborList::new(k + overlay.tombstones_len());
+        for tree in &self.trees {
+            counts.frozen += tree.knn_into(r_obj, &mut frozen);
+        }
+        let kernel = metric.kernel();
+        let mut list = NeighborList::new(k);
+        for (id, coords) in overlay.adds() {
+            list.offer(id, kernel(&r_obj.coords, coords));
+            counts.delta += 1;
+        }
+        for n in frozen.into_sorted() {
+            if overlay.is_tombstoned(n.id) {
+                counts.masked += 1;
+                continue;
+            }
+            list.offer(n.id, n.distance);
+        }
+        list.into_sorted()
     }
 
     /// Folds a delta overlay into the resident trees, rebuilding *only* the
@@ -326,83 +362,6 @@ impl HbrjPrepared {
             ));
         }
         Self { trees }
-    }
-}
-
-/// Serve reducer: best-first kNN against every resident block tree, merged
-/// into the global top-`k` per object.
-struct HbrjServeReducer {
-    trees: Vec<Arc<RTree>>,
-    k: usize,
-    metric: DistanceMetric,
-    delta: Option<Arc<DeltaOverlay>>,
-}
-
-impl Reducer for HbrjServeReducer {
-    type KIn = u32;
-    type VIn = EncodedRecord;
-    type KOut = u64;
-    type VOut = Vec<geom::Neighbor>;
-
-    fn reduce(
-        &self,
-        _key: &u32,
-        values: &[EncodedRecord],
-        ctx: &mut ReduceContext<u64, Vec<geom::Neighbor>>,
-    ) {
-        for value in values {
-            let r_obj = value.decode().point;
-            match self.delta.as_deref() {
-                None => {
-                    let mut list = geom::NeighborList::new(self.k);
-                    let mut computations = 0u64;
-                    // One shared accumulator across the block trees: the k-th
-                    // distance found in earlier trees prunes later ones, which
-                    // the cold path's independent per-cell searches cannot do.
-                    for tree in &self.trees {
-                        computations += tree.knn_into(&r_obj, &mut list);
-                    }
-                    ctx.counters()
-                        .add(counters::DISTANCE_COMPUTATIONS, computations);
-                    ctx.emit(r_obj.id, list.into_sorted());
-                }
-                Some(overlay) => {
-                    // The trees still index tombstoned objects, so up to
-                    // t = |tombstones| of the best frozen hits may be dead.
-                    // Oversampling to k + t guarantees the top-(k + t) frozen
-                    // candidates contain the top-k *live* frozen candidates;
-                    // tombstones are masked afterwards and the survivors are
-                    // re-ranked together with the memtable's adds.
-                    let t = overlay.tombstones_len();
-                    let mut frozen = geom::NeighborList::new(self.k + t);
-                    let mut computations = 0u64;
-                    for tree in &self.trees {
-                        computations += tree.knn_into(&r_obj, &mut frozen);
-                    }
-                    let kernel = self.metric.kernel();
-                    let mut list = geom::NeighborList::new(self.k);
-                    let mut delta_computations = 0u64;
-                    for (id, coords) in overlay.adds() {
-                        list.offer(id, kernel(&r_obj.coords, coords));
-                        delta_computations += 1;
-                    }
-                    let mut masked = 0u64;
-                    for n in frozen.into_sorted() {
-                        if overlay.is_tombstoned(n.id) {
-                            masked += 1;
-                            continue;
-                        }
-                        list.offer(n.id, n.distance);
-                    }
-                    ctx.counters()
-                        .add(counters::DISTANCE_COMPUTATIONS, computations);
-                    ctx.counters()
-                        .add(counters::DELTA_PROBE_COMPUTATIONS, delta_computations);
-                    ctx.counters().add(counters::TOMBSTONE_MASKED, masked);
-                    ctx.emit(r_obj.id, list.into_sorted());
-                }
-            }
-        }
     }
 }
 

@@ -28,10 +28,8 @@ pub use pbj::{Pbj, PbjConfig};
 pub use pgbj::{Pgbj, PgbjConfig};
 pub use zknn::{Zknn, ZknnConfig};
 
-pub(crate) use broadcast::BroadcastPrepared;
+pub(crate) use common::VoronoiServeState;
 pub(crate) use hbrj::HbrjPrepared;
-pub(crate) use pbj::PbjPrepared;
-pub(crate) use pgbj::PgbjPrepared;
 pub(crate) use zknn::ZknnPrepared;
 
 use crate::context::ExecutionContext;

@@ -12,12 +12,11 @@
 use crate::algorithms::blocks::run_block_framework;
 use crate::algorithms::common::{
     bounded_knn_scan, bounded_knn_scan_tiled, counters, order_s_partitions, split_reducer_records,
-    DeltaBlock, EncodedRecord, FlatPartition, NeighborListValue,
+    EncodedRecord, FlatPartition, NeighborListValue,
 };
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::bounds::upper_bound;
 use crate::context::ExecutionContext;
-use crate::delta::DeltaOverlay;
 use crate::exact::validate_inputs;
 use crate::metrics::{phases, JoinMetrics};
 use crate::partition::VoronoiPartitioner;
@@ -281,130 +280,6 @@ impl Reducer for PbjCellReducer {
                     .add(counters::DISTANCE_COMPUTATIONS, computations);
                 ctx.emit(r_obj.id, NeighborListValue::new(neighbors));
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Prepared (build/probe) serving path
-// ---------------------------------------------------------------------------
-
-/// The prepared PBJ state — the same Voronoi serving core as PGBJ, probed
-/// without the grouping step (batches are hash-routed to reducers), exactly
-/// mirroring how cold PBJ is "PGBJ's bounds without the grouping".
-#[derive(Debug)]
-pub(crate) struct PbjPrepared {
-    core: crate::algorithms::common::VoronoiServeState,
-}
-
-impl PbjPrepared {
-    /// Builds the S-side state (pivots from the calibration `R`, resident
-    /// partitioned `S`, `T_S`).
-    pub(crate) fn build(
-        calibration_r: &PointSet,
-        s: &PointSet,
-        plan: &crate::plan::JoinPlan,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
-        let start = Instant::now();
-        let pivots = select_pivots_with_mode(
-            calibration_r,
-            plan.pivot_count,
-            plan.pivot_strategy,
-            plan.pivot_sample_size,
-            plan.metric,
-            plan.seed,
-            plan.kernel_mode,
-        );
-        metrics.record_phase(phases::PIVOT_SELECTION, start.elapsed());
-        metrics.pivot_selections = 1;
-        let start = Instant::now();
-        let core = crate::algorithms::common::VoronoiServeState::build(
-            pivots,
-            plan.metric,
-            s,
-            plan.k,
-            plan.kernel_mode,
-        );
-        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-        Self { core }
-    }
-
-    /// Answers one probe batch with the bounded Algorithm 3 scan, `θ_i`
-    /// taken from the global Algorithm 1 bound (the resident `S` is the full
-    /// dataset, so the tight bound applies — cold PBJ only had the local
-    /// block's looser bound).
-    pub(crate) fn probe(
-        &self,
-        r: &PointSet,
-        plan: &crate::plan::JoinPlan,
-        ctx: &ExecutionContext,
-        delta: Option<&Arc<DeltaOverlay>>,
-        metrics: &mut JoinMetrics,
-    ) -> Result<Vec<crate::result::JoinRow>, JoinError> {
-        use crate::algorithms::common::{
-            encode_assigned_batch, run_serve_job, HashRouteMapper, VoronoiServeReducer,
-        };
-
-        let start = Instant::now();
-        let (assignments, computations) = self.core.assign_batch(r);
-        metrics.pivot_assignment_computations += computations;
-        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-
-        let start = Instant::now();
-        let tables = Arc::new(self.core.query_tables(&assignments));
-        let bounds = crate::bounds::PartitionBounds::compute(&tables, plan.k);
-        // Deletions can break the T_S-derived θ_i promise (see the PGBJ
-        // probe); tombstones demote θ to the running kth distance alone.
-        let theta = if delta.is_some_and(|d| d.tombstones_len() > 0) {
-            Arc::new(vec![f64::INFINITY; tables.partition_count()])
-        } else {
-            Arc::new(bounds.theta)
-        };
-        metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
-
-        run_serve_job(
-            "pbj-serve",
-            encode_assigned_batch(r, &assignments),
-            plan.reducers,
-            plan.map_tasks,
-            ctx.workers(),
-            &HashRouteMapper {
-                reducers: plan.reducers,
-            },
-            &VoronoiServeReducer {
-                s_parts: Arc::clone(&self.core.s_parts),
-                s_orders: Arc::clone(&self.core.s_orders),
-                tables,
-                theta,
-                k: plan.k,
-                metric: plan.metric,
-                delta: delta.map(Arc::clone),
-                mode: self.core.mode,
-                delta_block: if self.core.mode.is_exact() {
-                    None
-                } else {
-                    delta.and_then(|d| {
-                        DeltaBlock::from_overlay(d, self.core.partitioner.pivot_matrix().dims())
-                            .map(Arc::new)
-                    })
-                },
-            },
-            metrics,
-        )
-    }
-
-    /// Folds a delta overlay into the resident Voronoi state, sharing
-    /// everything the delta does not touch (see
-    /// [`crate::algorithms::common::VoronoiServeState::compact`]).
-    pub(crate) fn compact(
-        &self,
-        delta: &DeltaOverlay,
-        plan: &crate::plan::JoinPlan,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
-        Self {
-            core: self.core.compact(delta, plan.k, metrics),
         }
     }
 }

@@ -16,12 +16,11 @@
 
 use crate::algorithms::common::{
     bounded_knn_scan, bounded_knn_scan_tiled, counters, order_s_partitions, split_reducer_records,
-    DeltaBlock, EncodedRecord,
+    EncodedRecord,
 };
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::bounds::PartitionBounds;
 use crate::context::ExecutionContext;
-use crate::delta::DeltaOverlay;
 use crate::exact::validate_inputs;
 use crate::grouping::{build_grouping, GroupingStrategy};
 use crate::metrics::{phases, JoinMetrics};
@@ -503,157 +502,6 @@ impl Reducer for PgbjJoinReducer {
                 ctx.emit(r_obj.id, neighbors);
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Prepared (build/probe) serving path
-// ---------------------------------------------------------------------------
-
-/// The prepared PGBJ state: pivots are selected once (from the calibration
-/// `R` the join was prepared with, exactly as the cold path would), `S` is
-/// Voronoi-partitioned into resident flat blocks and summarized once, and
-/// every probe batch only pays its own assignment, grouping and bounded join.
-#[derive(Debug)]
-pub(crate) struct PgbjPrepared {
-    core: crate::algorithms::common::VoronoiServeState,
-}
-
-impl PgbjPrepared {
-    /// Builds the S-side state: pivot selection + `S` partitioning +
-    /// summaries.  `calibration_r` seeds pivot selection (the paper draws
-    /// pivots from `R`); the resulting state serves arbitrary probe batches
-    /// because the correctness of every bound holds for any pivot set.
-    pub(crate) fn build(
-        calibration_r: &PointSet,
-        s: &PointSet,
-        plan: &crate::plan::JoinPlan,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
-        let start = Instant::now();
-        let pivots = select_pivots_with_mode(
-            calibration_r,
-            plan.pivot_count,
-            plan.pivot_strategy,
-            plan.pivot_sample_size,
-            plan.metric,
-            plan.seed,
-            plan.kernel_mode,
-        );
-        metrics.record_phase(phases::PIVOT_SELECTION, start.elapsed());
-        metrics.pivot_selections = 1;
-        let start = Instant::now();
-        let core = crate::algorithms::common::VoronoiServeState::build(
-            pivots,
-            plan.metric,
-            s,
-            plan.k,
-            plan.kernel_mode,
-        );
-        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-        Self { core }
-    }
-
-    /// Answers one probe batch: assign `R` to cells, derive the per-batch
-    /// `T_R` / bounds / grouping, then run the serve job (Algorithm 3's
-    /// bounded scan against the resident `S`, merged with the delta overlay
-    /// when one is present).
-    pub(crate) fn probe(
-        &self,
-        r: &PointSet,
-        plan: &crate::plan::JoinPlan,
-        ctx: &ExecutionContext,
-        delta: Option<&Arc<DeltaOverlay>>,
-        metrics: &mut JoinMetrics,
-    ) -> Result<Vec<JoinRow>, JoinError> {
-        use crate::algorithms::common::{
-            encode_assigned_batch, run_serve_job, VoronoiServeReducer,
-        };
-
-        let start = Instant::now();
-        let (assignments, computations) = self.core.assign_batch(r);
-        metrics.pivot_assignment_computations += computations;
-        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-
-        let start = Instant::now();
-        let tables = Arc::new(self.core.query_tables(&assignments));
-        let bounds = PartitionBounds::compute(&tables, plan.k);
-        let grouping = build_grouping(plan.grouping_strategy, &tables, &bounds, plan.reducers);
-        let group_of = Arc::new(grouping.group_of(tables.partition_count()));
-        // θ_i promises that partition i alone holds k objects within θ_i of
-        // any r assigned there — a promise the frozen T_S cannot keep once
-        // objects are deleted, so tombstones demote θ to the running kth
-        // distance alone.  Grouping keeps the frozen bounds: it only routes
-        // work, never prunes candidates.
-        let theta = if delta.is_some_and(|d| d.tombstones_len() > 0) {
-            Arc::new(vec![f64::INFINITY; tables.partition_count()])
-        } else {
-            Arc::new(bounds.theta)
-        };
-        metrics.record_phase(phases::PARTITION_GROUPING, start.elapsed());
-
-        run_serve_job(
-            "pgbj-serve",
-            encode_assigned_batch(r, &assignments),
-            grouping.group_count(),
-            plan.map_tasks,
-            ctx.workers(),
-            &ServeGroupMapper { group_of },
-            &VoronoiServeReducer {
-                s_parts: Arc::clone(&self.core.s_parts),
-                s_orders: Arc::clone(&self.core.s_orders),
-                tables,
-                theta,
-                k: plan.k,
-                metric: plan.metric,
-                delta: delta.map(Arc::clone),
-                mode: self.core.mode,
-                delta_block: if self.core.mode.is_exact() {
-                    None
-                } else {
-                    delta.and_then(|d| {
-                        DeltaBlock::from_overlay(d, self.core.partitioner.pivot_matrix().dims())
-                            .map(Arc::new)
-                    })
-                },
-            },
-            metrics,
-        )
-    }
-
-    /// Folds a delta overlay into the resident Voronoi state (see
-    /// [`crate::algorithms::common::VoronoiServeState::compact`]); pivots and
-    /// the pivot machinery are shared unchanged, so the compacted state
-    /// serves exactly what a cold prepare over the materialized corpus
-    /// would.
-    pub(crate) fn compact(
-        &self,
-        delta: &DeltaOverlay,
-        plan: &crate::plan::JoinPlan,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
-        Self {
-            core: self.core.compact(delta, plan.k, metrics),
-        }
-    }
-}
-
-/// Mapper of the PGBJ serve job: route each assigned `R` record to the
-/// reducer of its partition's group.
-struct ServeGroupMapper {
-    group_of: Arc<Vec<usize>>,
-}
-
-impl Mapper for ServeGroupMapper {
-    type KIn = u64;
-    type VIn = EncodedRecord;
-    type KOut = u32;
-    type VOut = EncodedRecord;
-
-    fn map(&self, _key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
-        let partition = value.decode().partition as usize;
-        ctx.counters().increment(counters::R_RECORDS);
-        ctx.emit(self.group_of[partition] as u32, value.clone());
     }
 }
 

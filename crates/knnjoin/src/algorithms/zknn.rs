@@ -34,7 +34,9 @@
 //! [`crate::result::QualityReport`] measures exactly that trade.
 
 use crate::algorithms::blocks::MergeMapper;
-use crate::algorithms::common::{counters, EncodedRecord, NeighborListValue};
+use crate::algorithms::common::{
+    counters, probe_in_chunks, EncodedRecord, NeighborListValue, ScanCounts,
+};
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
@@ -652,9 +654,10 @@ impl ZknnPrepared {
         }
     }
 
-    /// Answers one probe batch with a single serve job: per object and per
-    /// copy, scan the `z_window · k` z-neighbours on each side, then merge
-    /// the per-copy candidates into the `k` best distinct `S` objects.
+    /// Answers one probe batch directly over the resident copies, split
+    /// across the worker pool: per object and per copy, scan the
+    /// `z_window · k` z-neighbours on each side, then merge the per-copy
+    /// candidates into the `k` best distinct `S` objects.
     ///
     /// When a delta overlay is present, its adds are quantized with the
     /// *prepared* quantizer and shifts into a `(z, id)`-sorted index per
@@ -666,35 +669,162 @@ impl ZknnPrepared {
         &self,
         r: &PointSet,
         plan: &crate::plan::JoinPlan,
-        ctx: &ExecutionContext,
-        delta: Option<&Arc<DeltaOverlay>>,
+        workers: usize,
+        delta: Option<&DeltaOverlay>,
         metrics: &mut JoinMetrics,
-    ) -> Result<Vec<JoinRow>, JoinError> {
-        use crate::algorithms::common::{encode_probe_batch, run_serve_job, HashRouteMapper};
-
+    ) -> Vec<JoinRow> {
         let delta = delta.map(|overlay| {
             (
-                Arc::clone(overlay),
-                Arc::new(delta_sorted_copies(&self.quantizer, &self.shifts, overlay)),
+                overlay,
+                delta_sorted_copies(&self.quantizer, &self.shifts, overlay),
             )
         });
-        run_serve_job(
-            "zknn-serve",
-            encode_probe_batch(r),
-            plan.reducers,
-            plan.map_tasks,
-            ctx.workers(),
-            &HashRouteMapper {
-                reducers: plan.reducers,
-            },
-            &ZknnServeReducer {
-                prepared: self,
-                k: plan.k,
-                metric: plan.metric,
-                delta,
-            },
-            metrics,
-        )
+        // The delta-merged windows interleave frozen and add rows, so they
+        // stay pairwise; in a non-exact mode they use the fast (reassociated)
+        // scalar kernel to match the batch kernels' accumulation style.
+        let kernel = if self.mode.is_exact() {
+            plan.metric.kernel()
+        } else {
+            plan.metric.fast_kernel()
+        };
+        let batch = plan.metric.batch_rank_kernel();
+        let dims = self.quantizer.dims();
+        probe_in_chunks(r, workers, metrics, |_, chunk, counts| {
+            let mut ranks: Vec<f64> = Vec::new();
+            let mut rows = Vec::with_capacity(chunk.len());
+            for r_obj in chunk {
+                let mut lists = Vec::with_capacity(self.copies.len());
+                for (i, (copy, shift)) in self.copies.iter().zip(&self.shifts).enumerate() {
+                    let z_r = self.quantizer.z_value(&r_obj.coords, Some(shift));
+                    let mut list = NeighborList::new(plan.k);
+                    match &delta {
+                        None => {
+                            let pos = copy.z.partition_point(|z| *z < z_r);
+                            let lo = pos.saturating_sub(self.window);
+                            let hi = (pos + self.window).min(copy.z.len());
+                            if self.mode.is_exact() {
+                                for idx in lo..hi {
+                                    list.offer(
+                                        copy.ids[idx],
+                                        kernel(&r_obj.coords, copy.coords.row(idx)),
+                                    );
+                                }
+                            } else {
+                                // One contiguous run of sorted-S rows: a single
+                                // batch call plus the monotone rank→distance map.
+                                let m = hi - lo;
+                                if ranks.len() < m {
+                                    ranks.resize(m, 0.0);
+                                }
+                                batch(
+                                    &r_obj.coords,
+                                    &copy.coords.as_slice()[lo * dims..hi * dims],
+                                    dims,
+                                    &mut ranks[..m],
+                                );
+                                plan.metric.ranks_to_distances(&mut ranks[..m]);
+                                for (off, rank) in ranks[..m].iter().enumerate() {
+                                    list.offer(copy.ids[lo + off], *rank);
+                                }
+                            }
+                            counts.frozen += (hi - lo) as u64;
+                        }
+                        Some((overlay, add_copies)) => {
+                            *counts += self.merged_window(
+                                &r_obj.coords,
+                                z_r,
+                                copy,
+                                &add_copies[i],
+                                overlay,
+                                kernel,
+                                &mut list,
+                            );
+                        }
+                    }
+                    lists.push(NeighborListValue::new(list.into_sorted()));
+                }
+                rows.push(JoinRow {
+                    r_id: r_obj.id,
+                    neighbors: merge_distinct_candidates(&lists, plan.k),
+                });
+            }
+            rows
+        })
+    }
+
+    /// The delta-merged candidate window for one probe object and one copy:
+    /// the `window` live `(z, id)`-predecessors and `window` live successors
+    /// of `z_r` in the virtual merge of the frozen copy (minus tombstones)
+    /// and the delta adds — exactly the window a cold build over the
+    /// materialized corpus scans.  Tombstoned frozen entries are skipped
+    /// *without* consuming a window slot.
+    #[allow(clippy::too_many_arguments)]
+    fn merged_window(
+        &self,
+        r_coords: &[f64],
+        z_r: ZValue,
+        frozen: &SortedCopy,
+        adds: &SortedCopy,
+        overlay: &DeltaOverlay,
+        kernel: fn(&[f64], &[f64]) -> f64,
+        list: &mut NeighborList,
+    ) -> ScanCounts {
+        let window = self.window;
+        let mut counts = ScanCounts::default();
+        let pos_f = frozen.z.partition_point(|z| *z < z_r);
+        let pos_a = adds.z.partition_point(|z| *z < z_r);
+
+        // Backward merge over the strict predecessors: largest (z, id) first.
+        let (mut f, mut a) = (pos_f, pos_a);
+        let mut taken = 0usize;
+        while taken < window && (f > 0 || a > 0) {
+            let take_frozen = match (f > 0, a > 0) {
+                (true, true) => {
+                    (frozen.z[f - 1], frozen.ids[f - 1]) >= (adds.z[a - 1], adds.ids[a - 1])
+                }
+                (have_frozen, _) => have_frozen,
+            };
+            if take_frozen {
+                f -= 1;
+                if overlay.is_tombstoned(frozen.ids[f]) {
+                    counts.masked += 1;
+                    continue;
+                }
+                list.offer(frozen.ids[f], kernel(r_coords, frozen.coords.row(f)));
+                counts.frozen += 1;
+            } else {
+                a -= 1;
+                list.offer(adds.ids[a], kernel(r_coords, adds.coords.row(a)));
+                counts.delta += 1;
+            }
+            taken += 1;
+        }
+
+        // Forward merge over the successors (z ≥ z_r): smallest (z, id) first.
+        let (mut f, mut a) = (pos_f, pos_a);
+        let mut taken = 0usize;
+        while taken < window && (f < frozen.z.len() || a < adds.z.len()) {
+            let take_frozen = match (f < frozen.z.len(), a < adds.z.len()) {
+                (true, true) => (frozen.z[f], frozen.ids[f]) <= (adds.z[a], adds.ids[a]),
+                (have_frozen, _) => have_frozen,
+            };
+            if take_frozen {
+                if overlay.is_tombstoned(frozen.ids[f]) {
+                    counts.masked += 1;
+                    f += 1;
+                    continue;
+                }
+                list.offer(frozen.ids[f], kernel(r_coords, frozen.coords.row(f)));
+                counts.frozen += 1;
+                f += 1;
+            } else {
+                list.offer(adds.ids[a], kernel(r_coords, adds.coords.row(a)));
+                counts.delta += 1;
+                a += 1;
+            }
+            taken += 1;
+        }
+        counts
     }
 
     /// Folds the overlay into the sorted copies: per copy, a linear merge of
@@ -778,197 +908,6 @@ fn delta_sorted_copies(
             SortedCopy { z, ids, coords }
         })
         .collect()
-}
-
-/// Serve reducer: the per-copy candidate windows and the distinct merge, all
-/// against the resident sorted copies (merged on the fly with the delta's
-/// sorted adds when an overlay is present).
-struct ZknnServeReducer<'a> {
-    prepared: &'a ZknnPrepared,
-    k: usize,
-    metric: DistanceMetric,
-    /// The overlay plus its per-copy `(z, id)`-sorted add index, quantized
-    /// with the prepared quantizer (see [`delta_sorted_copies`]).
-    delta: Option<(Arc<DeltaOverlay>, Arc<Vec<SortedCopy>>)>,
-}
-
-impl ZknnServeReducer<'_> {
-    /// The delta-merged candidate window for one probe object and one copy:
-    /// the `window` live `(z, id)`-predecessors and `window` live successors
-    /// of `z_r` in the virtual merge of the frozen copy (minus tombstones)
-    /// and the delta adds — exactly the window a cold build over the
-    /// materialized corpus scans.  Tombstoned frozen entries are skipped
-    /// *without* consuming a window slot.  Returns
-    /// `(frozen_kernels, delta_kernels, masked)`.
-    #[allow(clippy::too_many_arguments)]
-    fn merged_window(
-        &self,
-        r_coords: &[f64],
-        z_r: ZValue,
-        frozen: &SortedCopy,
-        adds: &SortedCopy,
-        overlay: &DeltaOverlay,
-        kernel: fn(&[f64], &[f64]) -> f64,
-        list: &mut NeighborList,
-    ) -> (u64, u64, u64) {
-        let window = self.prepared.window;
-        let (mut frozen_kernels, mut delta_kernels, mut masked) = (0u64, 0u64, 0u64);
-        let pos_f = frozen.z.partition_point(|z| *z < z_r);
-        let pos_a = adds.z.partition_point(|z| *z < z_r);
-
-        // Backward merge over the strict predecessors: largest (z, id) first.
-        let (mut f, mut a) = (pos_f, pos_a);
-        let mut taken = 0usize;
-        while taken < window && (f > 0 || a > 0) {
-            let take_frozen = match (f > 0, a > 0) {
-                (true, true) => {
-                    (frozen.z[f - 1], frozen.ids[f - 1]) >= (adds.z[a - 1], adds.ids[a - 1])
-                }
-                (have_frozen, _) => have_frozen,
-            };
-            if take_frozen {
-                f -= 1;
-                if overlay.is_tombstoned(frozen.ids[f]) {
-                    masked += 1;
-                    continue;
-                }
-                list.offer(frozen.ids[f], kernel(r_coords, frozen.coords.row(f)));
-                frozen_kernels += 1;
-            } else {
-                a -= 1;
-                list.offer(adds.ids[a], kernel(r_coords, adds.coords.row(a)));
-                delta_kernels += 1;
-            }
-            taken += 1;
-        }
-
-        // Forward merge over the successors (z ≥ z_r): smallest (z, id) first.
-        let (mut f, mut a) = (pos_f, pos_a);
-        let mut taken = 0usize;
-        while taken < window && (f < frozen.z.len() || a < adds.z.len()) {
-            let take_frozen = match (f < frozen.z.len(), a < adds.z.len()) {
-                (true, true) => (frozen.z[f], frozen.ids[f]) <= (adds.z[a], adds.ids[a]),
-                (have_frozen, _) => have_frozen,
-            };
-            if take_frozen {
-                if overlay.is_tombstoned(frozen.ids[f]) {
-                    masked += 1;
-                    f += 1;
-                    continue;
-                }
-                list.offer(frozen.ids[f], kernel(r_coords, frozen.coords.row(f)));
-                frozen_kernels += 1;
-                f += 1;
-            } else {
-                list.offer(adds.ids[a], kernel(r_coords, adds.coords.row(a)));
-                delta_kernels += 1;
-                a += 1;
-            }
-            taken += 1;
-        }
-        (frozen_kernels, delta_kernels, masked)
-    }
-}
-
-impl Reducer for ZknnServeReducer<'_> {
-    type KIn = u32;
-    type VIn = EncodedRecord;
-    type KOut = u64;
-    type VOut = Vec<geom::Neighbor>;
-
-    fn reduce(
-        &self,
-        _key: &u32,
-        values: &[EncodedRecord],
-        ctx: &mut ReduceContext<u64, Vec<geom::Neighbor>>,
-    ) {
-        let mode = self.prepared.mode;
-        // The delta-merged windows interleave frozen and add rows, so they
-        // stay pairwise; in a non-exact mode they use the fast (reassociated)
-        // scalar kernel to match the batch kernels' accumulation style.
-        let kernel = if mode.is_exact() {
-            self.metric.kernel()
-        } else {
-            self.metric.fast_kernel()
-        };
-        let batch = self.metric.batch_rank_kernel();
-        let dims = self.prepared.quantizer.dims();
-        let mut ranks: Vec<f64> = Vec::new();
-        let window = self.prepared.window;
-        for value in values {
-            let r_obj = value.decode().point;
-            let mut lists = Vec::with_capacity(self.prepared.copies.len());
-            let mut computations = 0u64;
-            let mut delta_computations = 0u64;
-            let mut masked = 0u64;
-            for (i, (copy, shift)) in self
-                .prepared
-                .copies
-                .iter()
-                .zip(&self.prepared.shifts)
-                .enumerate()
-            {
-                let z_r = self.prepared.quantizer.z_value(&r_obj.coords, Some(shift));
-                let mut list = NeighborList::new(self.k);
-                match &self.delta {
-                    None => {
-                        let pos = copy.z.partition_point(|z| *z < z_r);
-                        let lo = pos.saturating_sub(window);
-                        let hi = (pos + window).min(copy.z.len());
-                        if mode.is_exact() {
-                            for idx in lo..hi {
-                                list.offer(
-                                    copy.ids[idx],
-                                    kernel(&r_obj.coords, copy.coords.row(idx)),
-                                );
-                            }
-                        } else {
-                            // One contiguous run of sorted-S rows: a single
-                            // batch call plus the monotone rank→distance map.
-                            let m = hi - lo;
-                            if ranks.len() < m {
-                                ranks.resize(m, 0.0);
-                            }
-                            batch(
-                                &r_obj.coords,
-                                &copy.coords.as_slice()[lo * dims..hi * dims],
-                                dims,
-                                &mut ranks[..m],
-                            );
-                            self.metric.ranks_to_distances(&mut ranks[..m]);
-                            for (off, rank) in ranks[..m].iter().enumerate() {
-                                list.offer(copy.ids[lo + off], *rank);
-                            }
-                        }
-                        computations += (hi - lo) as u64;
-                    }
-                    Some((overlay, add_copies)) => {
-                        let (fk, dk, m) = self.merged_window(
-                            &r_obj.coords,
-                            z_r,
-                            copy,
-                            &add_copies[i],
-                            overlay,
-                            kernel,
-                            &mut list,
-                        );
-                        computations += fk;
-                        delta_computations += dk;
-                        masked += m;
-                    }
-                }
-                lists.push(NeighborListValue::new(list.into_sorted()));
-            }
-            ctx.counters()
-                .add(counters::DISTANCE_COMPUTATIONS, computations);
-            if self.delta.is_some() {
-                ctx.counters()
-                    .add(counters::DELTA_PROBE_COMPUTATIONS, delta_computations);
-                ctx.counters().add(counters::TOMBSTONE_MASKED, masked);
-            }
-            ctx.emit(r_obj.id, merge_distinct_candidates(&lists, self.k));
-        }
-    }
 }
 
 #[cfg(test)]

@@ -106,7 +106,7 @@ pub fn bounding_knn_theta(tables: &SummaryTables, r_partition: usize, k: usize) 
             let ub = upper_bound(r_summary.upper, pivot_dist, *s_pivot_dist);
             if heap.len() < k {
                 heap.push(OrderedF64(ub));
-            } else if ub < heap.peek().expect("heap is full").0 {
+            } else if heap.peek().is_some_and(|top| ub < top.0) {
                 heap.pop();
                 heap.push(OrderedF64(ub));
             } else {
@@ -114,10 +114,9 @@ pub fn bounding_knn_theta(tables: &SummaryTables, r_partition: usize, k: usize) 
             }
         }
     }
-    if heap.len() < k {
-        f64::INFINITY
-    } else {
-        heap.peek().expect("heap has k entries").0
+    match heap.peek() {
+        Some(top) if heap.len() >= k => top.0,
+        _ => f64::INFINITY,
     }
 }
 
@@ -253,6 +252,22 @@ mod tests {
         let ps = partitioner.partition(s);
         let tables = SummaryTables::build(pivots, DistanceMetric::Euclidean, &pr, &ps, k);
         (tables, pr, ps)
+    }
+
+    #[test]
+    fn theta_survives_a_nan_pivot_distance_in_t_s() {
+        let r = uniform(80, 2, 100.0, 1);
+        let s = uniform(120, 2, 100.0, 2);
+        let (mut tables, pr, _) = build_tables(&r, &s, 6, 5, 3);
+        for summary in std::sync::Arc::make_mut(&mut tables.s_summaries) {
+            summary.knn_distances.insert(0, f64::NAN);
+        }
+        for (i, bucket) in pr.partitions.iter().enumerate() {
+            let theta = bounding_knn_theta(&tables, i, 5);
+            if bucket.is_empty() {
+                assert_eq!(theta, f64::INFINITY);
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! distance computations.  It is used by tests and benchmarks as ground truth
 //! and as the centralized baseline that motivates distributing the join.
 
-use crate::algorithms::common::{flat_block_scan, DeltaBlock, TileScratch};
+use crate::algorithms::common::{flat_block_scan, probe_in_chunks, DeltaBlock, TileScratch};
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
+use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult, JoinRow};
 use geom::{CoordMatrix, DistanceMetric, KernelMode, NeighborList, PointSet};
 use std::time::Instant;
@@ -131,10 +132,13 @@ pub(crate) fn shadow_coords(coords: &CoordMatrix, mode: KernelMode) -> Option<Ve
     }
 }
 
-/// The prepared nested-loop state: `S` flattened once; every probe batch is
-/// a driver-side scan (the cold path runs on no substrate either).
+/// The prepared state of the exhaustive scanners, nested loop and
+/// broadcast: `S` flattened once into columnar storage.  In Hadoop terms the
+/// broadcast join's build is the broadcast itself — `S` is staged at every
+/// node once — so with `S` resident both algorithms probe the same way: an
+/// exhaustive scan per object, split across the worker pool.
 #[derive(Debug)]
-pub(crate) struct NestedLoopPrepared {
+pub(crate) struct FlatPrepared {
     ids: Vec<u64>,
     coords: CoordMatrix,
     /// `f32` shadow of `coords`, present only in `RankF32` mode.
@@ -142,7 +146,7 @@ pub(crate) struct NestedLoopPrepared {
     mode: KernelMode,
 }
 
-impl NestedLoopPrepared {
+impl FlatPrepared {
     /// Flattens `S` (and downcasts the `f32` shadow when `mode` wants one).
     pub(crate) fn build(s: &PointSet, mode: KernelMode, metrics: &mut JoinMetrics) -> Self {
         let start = Instant::now();
@@ -159,94 +163,74 @@ impl NestedLoopPrepared {
     }
 
     /// Scans the resident flat `S` (minus tombstones, plus the memtable's
-    /// adds when a delta overlay is present) for every probe object.  This
-    /// path is driver-side, so the delta counters land directly in
-    /// `metrics` instead of travelling through job counters.
+    /// adds when a delta overlay is present) for every probe object.
     pub(crate) fn probe(
         &self,
         r: &PointSet,
-        k: usize,
-        metric: DistanceMetric,
+        plan: &JoinPlan,
+        workers: usize,
         delta: Option<&DeltaOverlay>,
         metrics: &mut JoinMetrics,
     ) -> Vec<JoinRow> {
-        let start = Instant::now();
+        let (k, metric) = (plan.k, plan.metric);
         if !self.mode.is_exact() {
             let delta_block = delta.and_then(|d| DeltaBlock::from_overlay(d, self.coords.dims()));
-            let mut scratch = TileScratch::new();
-            let mut rows = Vec::with_capacity(r.len());
-            let mut computations = 0u64;
-            let mut delta_computations = 0u64;
-            let mut masked = 0u64;
-            for r_obj in r {
-                let (neighbors, counts) = flat_block_scan(
-                    &r_obj.coords,
-                    &self.ids,
-                    &self.coords,
-                    self.coords32.as_deref(),
-                    k,
-                    metric,
-                    delta,
-                    delta_block.as_ref(),
-                    &mut scratch,
-                );
-                computations += counts.frozen;
-                delta_computations += counts.delta;
-                masked += counts.masked;
-                rows.push(JoinRow {
-                    r_id: r_obj.id,
-                    neighbors,
-                });
-            }
-            metrics.distance_computations += computations;
-            metrics.delta_probe_computations += delta_computations;
-            metrics.tombstone_masked += masked;
-            metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-            return rows;
+            return probe_in_chunks(r, workers, metrics, |_, chunk, counts| {
+                let mut scratch = TileScratch::new();
+                chunk
+                    .iter()
+                    .map(|r_obj| {
+                        let (neighbors, scanned) = flat_block_scan(
+                            &r_obj.coords,
+                            &self.ids,
+                            &self.coords,
+                            self.coords32.as_deref(),
+                            k,
+                            metric,
+                            delta,
+                            delta_block.as_ref(),
+                            &mut scratch,
+                        );
+                        *counts += scanned;
+                        JoinRow {
+                            r_id: r_obj.id,
+                            neighbors,
+                        }
+                    })
+                    .collect()
+            });
         }
         let kernel = metric.kernel();
-        let mut rows = Vec::with_capacity(r.len());
-        let mut computations = 0u64;
-        let mut delta_computations = 0u64;
-        let mut masked = 0u64;
-        for r_obj in r {
-            let mut list = NeighborList::new(k);
-            match delta {
-                None => {
+        probe_in_chunks(r, workers, metrics, |_, chunk, counts| {
+            chunk
+                .iter()
+                .map(|r_obj| {
+                    let mut list = NeighborList::new(k);
                     for (i, row) in self.coords.rows().enumerate() {
-                        list.offer(self.ids[i], kernel(&r_obj.coords, row));
-                        computations += 1;
-                    }
-                }
-                Some(overlay) => {
-                    for (i, row) in self.coords.rows().enumerate() {
-                        if overlay.is_tombstoned(self.ids[i]) {
-                            masked += 1;
+                        if delta.is_some_and(|overlay| overlay.is_tombstoned(self.ids[i])) {
+                            counts.masked += 1;
                             continue;
                         }
                         list.offer(self.ids[i], kernel(&r_obj.coords, row));
-                        computations += 1;
+                        counts.frozen += 1;
                     }
-                    for (id, coords) in overlay.adds() {
+                    for (id, coords) in delta.iter().flat_map(|overlay| overlay.adds()) {
                         list.offer(id, kernel(&r_obj.coords, coords));
-                        delta_computations += 1;
+                        counts.delta += 1;
                     }
-                }
-            }
-            rows.push(JoinRow {
-                r_id: r_obj.id,
-                neighbors: list.into_sorted(),
-            });
-        }
-        metrics.distance_computations += computations;
-        metrics.delta_probe_computations += delta_computations;
-        metrics.tombstone_masked += masked;
-        metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-        rows
+                    JoinRow {
+                        r_id: r_obj.id,
+                        neighbors: list.into_sorted(),
+                    }
+                })
+                .collect()
+        })
     }
 
-    /// Re-flattens the materialized corpus (same layout a cold build over it
-    /// would produce), keeping this epoch's kernel mode.
+    /// Re-flattens the materialized corpus (frozen survivors in arrival
+    /// order, then adds in ascending id order — the canonical
+    /// materialization order, so the compacted scan is bit-identical to a
+    /// cold build over the same corpus), keeping this epoch's kernel mode.
     pub(crate) fn compact(&self, materialized: &PointSet, metrics: &mut JoinMetrics) -> Self {
         metrics.compacted_points += materialized.len() as u64;
         Self::build(materialized, self.mode, metrics)

@@ -114,11 +114,16 @@ pub struct JoinPlan {
     pub pivot_strategy: PivotSelectionStrategy,
     /// Sample-size cap for pivot selection.
     pub pivot_sample_size: usize,
-    /// How Voronoi cells are merged into reducer groups (PGBJ).
+    /// How Voronoi cells are merged into reducer groups (PGBJ).  Shapes
+    /// cold runs only: a prepared probe moves no data, so it groups nothing.
     pub grouping_strategy: GroupingStrategy,
-    /// Number of reducers ("computing nodes").
+    /// Number of reducers ("computing nodes").  Shapes cold runs only —
+    /// prepared probes run directly over the resident state, split across
+    /// the context's workers — except that a prepared H-BRJ still derives
+    /// its `⌊√N⌋` resident block trees from it.
     pub reducers: usize,
-    /// Number of map tasks.
+    /// Number of map tasks.  Shapes cold runs only; prepared probes run no
+    /// MapReduce job.
     pub map_tasks: usize,
     /// R-tree fanout (H-BRJ).
     pub rtree_fanout: usize,
@@ -132,7 +137,8 @@ pub struct JoinPlan {
     /// side per shifted copy.
     pub z_window: usize,
     /// Whether map-side combiners run (PGBJ's partitioning job, the block
-    /// algorithms' merge job) to cut shuffle volume.
+    /// algorithms' merge job) to cut shuffle volume.  Shapes cold runs only;
+    /// prepared probes shuffle nothing.
     pub combiner: bool,
     /// Seed driving pivot selection.
     pub seed: u64,

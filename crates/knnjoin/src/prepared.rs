@@ -42,10 +42,10 @@
 //! assert_eq!(result.metrics.pivot_selections, 0);
 //! ```
 
-use crate::algorithms::{BroadcastPrepared, HbrjPrepared, PbjPrepared, PgbjPrepared, ZknnPrepared};
+use crate::algorithms::{HbrjPrepared, VoronoiServeState, ZknnPrepared};
 use crate::context::{ExecutionContext, ServingStats};
 use crate::delta::{DeltaOverlay, DeltaStats};
-use crate::exact::NestedLoopPrepared;
+use crate::exact::FlatPrepared;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::{Algorithm, JoinPlan};
 use crate::result::{JoinError, JoinResult, JoinRow, ResultSink};
@@ -58,16 +58,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The per-algorithm S-side state (see each algorithm module's `*Prepared`
-/// type for what exactly is captured).
+/// The per-algorithm S-side state (see each type for what exactly is
+/// captured).  Algorithms whose resident state and probe coincide share a
+/// variant: PGBJ and PBJ the Voronoi cells, broadcast and nested loop the
+/// flat `S`.
 #[derive(Debug)]
 enum PreparedState {
-    Pgbj(PgbjPrepared),
-    Pbj(PbjPrepared),
+    Voronoi(VoronoiServeState),
     Hbrj(HbrjPrepared),
     Zknn(ZknnPrepared),
-    Broadcast(BroadcastPrepared),
-    NestedLoop(NestedLoopPrepared),
+    Flat(FlatPrepared),
 }
 
 impl PreparedState {
@@ -84,18 +84,12 @@ impl PreparedState {
         metrics: &mut JoinMetrics,
     ) -> Self {
         match self {
-            PreparedState::Pgbj(p) => PreparedState::Pgbj(p.compact(delta, plan, metrics)),
-            PreparedState::Pbj(p) => PreparedState::Pbj(p.compact(delta, plan, metrics)),
+            PreparedState::Voronoi(p) => PreparedState::Voronoi(p.compact(delta, plan.k, metrics)),
             PreparedState::Hbrj(p) => {
                 PreparedState::Hbrj(p.compact(materialized, delta, plan, metrics))
             }
             PreparedState::Zknn(p) => PreparedState::Zknn(p.compact(delta, metrics)),
-            PreparedState::Broadcast(p) => {
-                PreparedState::Broadcast(p.compact(materialized, metrics))
-            }
-            PreparedState::NestedLoop(p) => {
-                PreparedState::NestedLoop(p.compact(materialized, metrics))
-            }
+            PreparedState::Flat(p) => PreparedState::Flat(p.compact(materialized, metrics)),
         }
     }
 }
@@ -216,38 +210,16 @@ impl PreparedJoin {
             ..Default::default()
         };
         let start = Instant::now();
+        let m = &mut build_metrics;
         let state = match plan.algorithm {
-            Algorithm::Pgbj => PreparedState::Pgbj(PgbjPrepared::build(
-                calibration_r,
-                s,
-                &plan,
-                &mut build_metrics,
-            )),
-            Algorithm::Pbj => PreparedState::Pbj(PbjPrepared::build(
-                calibration_r,
-                s,
-                &plan,
-                &mut build_metrics,
-            )),
-            Algorithm::Hbrj => {
-                PreparedState::Hbrj(HbrjPrepared::build(s, &plan, &mut build_metrics))
+            Algorithm::Pgbj | Algorithm::Pbj => {
+                PreparedState::Voronoi(VoronoiServeState::prepare(calibration_r, s, &plan, m))
             }
-            Algorithm::Zknn => PreparedState::Zknn(ZknnPrepared::build(
-                calibration_r,
-                s,
-                &plan,
-                &mut build_metrics,
-            )),
-            Algorithm::BroadcastJoin => PreparedState::Broadcast(BroadcastPrepared::build(
-                s,
-                plan.kernel_mode,
-                &mut build_metrics,
-            )),
-            Algorithm::NestedLoopJoin => PreparedState::NestedLoop(NestedLoopPrepared::build(
-                s,
-                plan.kernel_mode,
-                &mut build_metrics,
-            )),
+            Algorithm::Hbrj => PreparedState::Hbrj(HbrjPrepared::build(s, &plan, m)),
+            Algorithm::Zknn => PreparedState::Zknn(ZknnPrepared::build(calibration_r, s, &plan, m)),
+            Algorithm::BroadcastJoin | Algorithm::NestedLoopJoin => {
+                PreparedState::Flat(FlatPrepared::build(s, plan.kernel_mode, m))
+            }
         };
         let build_time = start.elapsed();
         let epoch = Epoch {
@@ -492,7 +464,9 @@ impl PreparedJoin {
     }
 
     /// Validates a probe batch against the prepared corpus, then runs the
-    /// algorithm's probe against one epoch snapshot.  The `Arc<Epoch>` is
+    /// algorithm's probe directly against one epoch snapshot — no MapReduce
+    /// job, the batch split across the context's workers (see
+    /// [`crate::algorithms::common::MIN_PROBE_CHUNK`]).  The `Arc<Epoch>` is
     /// cloned once up front, so `query`, `query_one` and `query_into` all
     /// observe a single consistent corpus version even while concurrent
     /// mutations publish new epochs mid-probe.
@@ -519,28 +493,19 @@ impl PreparedJoin {
         // An empty overlay probes the frozen structures through exactly the
         // pre-delta code path (`None`, not `Some(empty)`), keeping counters
         // and candidate traversal bit-identical to an immutable corpus.
-        let delta = (!epoch.delta.is_empty()).then_some(&epoch.delta);
+        let delta = (!epoch.delta.is_empty()).then_some(&*epoch.delta);
         let mut metrics = JoinMetrics {
             r_size: r.len(),
             s_size: epoch.live_len(),
             ..Default::default()
         };
+        let (plan, workers) = (&inner.plan, inner.ctx.workers());
         let start = Instant::now();
         let mut rows = match &*epoch.state {
-            PreparedState::Pgbj(p) => p.probe(r, &inner.plan, &inner.ctx, delta, &mut metrics)?,
-            PreparedState::Pbj(p) => p.probe(r, &inner.plan, &inner.ctx, delta, &mut metrics)?,
-            PreparedState::Hbrj(p) => p.probe(r, &inner.plan, &inner.ctx, delta, &mut metrics)?,
-            PreparedState::Zknn(p) => p.probe(r, &inner.plan, &inner.ctx, delta, &mut metrics)?,
-            PreparedState::Broadcast(p) => {
-                p.probe(r, &inner.plan, &inner.ctx, delta, &mut metrics)?
-            }
-            PreparedState::NestedLoop(p) => p.probe(
-                r,
-                inner.plan.k,
-                inner.plan.metric,
-                delta.map(|d| &**d),
-                &mut metrics,
-            ),
+            PreparedState::Voronoi(p) => p.probe(r, plan, workers, delta, &mut metrics),
+            PreparedState::Hbrj(p) => p.probe(r, plan, workers, delta, &mut metrics),
+            PreparedState::Zknn(p) => p.probe(r, plan, workers, delta, &mut metrics),
+            PreparedState::Flat(p) => p.probe(r, plan, workers, delta, &mut metrics),
         };
         let elapsed = start.elapsed();
         rows.sort_by_key(|row| row.r_id);
@@ -563,8 +528,8 @@ impl PreparedJoin {
     /// object of `r`.
     ///
     /// # Errors
-    /// Returns [`JoinError`] when the batch is empty, ragged, of the wrong
-    /// dimensionality, or the substrate fails.
+    /// Returns [`JoinError`] when the batch is empty, ragged or of the wrong
+    /// dimensionality.
     pub fn query(&self, r: &PointSet) -> Result<JoinResult, JoinError> {
         let (rows, metrics) = self.run_probe(r)?;
         Ok(JoinResult { rows, metrics })
@@ -574,8 +539,7 @@ impl PreparedJoin {
     /// `point`.
     ///
     /// # Errors
-    /// Returns [`JoinError`] on a dimensionality mismatch or substrate
-    /// failure.
+    /// Returns [`JoinError`] on a dimensionality mismatch.
     pub fn query_one(&self, point: &Point) -> Result<JoinRow, JoinError> {
         let singleton = PointSet::from_points(vec![point.clone()]);
         let (mut rows, _) = self.run_probe(&singleton)?;

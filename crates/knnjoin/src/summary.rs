@@ -159,7 +159,7 @@ pub fn build_s_summaries(partitioned_s: &PartitionedDataset, k: usize) -> Vec<SP
         .map(|(i, bucket)| {
             let (lower, upper) = bounds_of(bucket);
             let mut dists: Vec<f64> = bucket.iter().map(|(_, d)| *d).collect();
-            dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
+            dists.sort_by(f64::total_cmp);
             dists.truncate(k);
             SPartitionSummary {
                 partition: i,
@@ -284,6 +284,21 @@ mod tests {
         let (small, _, _, _) = setup(1);
         let (large, _, _, _) = setup(20);
         assert!(large.approximate_size_bytes() > small.approximate_size_bytes());
+    }
+
+    #[test]
+    fn a_nan_pivot_distance_does_not_panic_the_s_summary() {
+        let bucket = vec![
+            (Point::new(1, vec![0.0]), 2.0),
+            (Point::new(2, vec![f64::NAN]), f64::NAN),
+            (Point::new(3, vec![1.0]), 1.0),
+        ];
+        let partitioned = PartitionedDataset {
+            partitions: vec![bucket],
+        };
+        let summaries = build_s_summaries(&partitioned, 2);
+        assert_eq!(summaries[0].count, 3);
+        assert_eq!(summaries[0].knn_distances, vec![1.0, 2.0]);
     }
 
     #[test]

@@ -44,7 +44,12 @@ pub fn default_workers() -> usize {
 
 /// Applies `f` to every item on up to `workers` threads, preserving the input
 /// order of the results (task index is passed through to `f`).
-fn parallel_map<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
+///
+/// With `workers <= 1` or at most one item, every call runs inline on the
+/// caller's thread and no thread is spawned.  Besides the engine's own map
+/// and reduce phases, this is the pool the prepared probes of `knnjoin`
+/// split their batches over.
+pub fn parallel_map<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -861,6 +866,24 @@ mod tests {
         }
         let empty: Vec<u64> = parallel_map(Vec::new(), 4, |_, x: u64| x);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn parallel_map_runs_inline_for_one_worker_or_one_item() {
+        let caller = std::thread::current().id();
+        let on_caller = |_, x: u64| (x, std::thread::current().id() == caller);
+        for (items, workers) in [(vec![7u64], 4usize), ((0..9).collect(), 1)] {
+            let out = parallel_map(items.clone(), workers, on_caller);
+            assert_eq!(out.iter().map(|(x, _)| *x).collect::<Vec<_>>(), items);
+            assert!(out.iter().all(|(_, inline)| *inline), "{workers} workers");
+        }
+        // Several items on several workers do leave the caller's thread.
+        let out = parallel_map((0..9u64).collect(), 3, on_caller);
+        assert_eq!(
+            out.iter().map(|(x, _)| *x).collect::<Vec<_>>(),
+            (0..9).collect::<Vec<_>>()
+        );
+        assert!(out.iter().all(|(_, inline)| !*inline));
     }
 
     #[test]

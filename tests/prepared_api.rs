@@ -1,9 +1,11 @@
 //! Integration tests of the prepared (build/probe) serving API:
 //! bit-identical agreement with the one-shot path for every algorithm, flat
 //! `index_builds` / `pivot_selections` counters across repeated queries,
-//! correctness on batches the join was never prepared with, streaming sinks,
-//! and the `JoinSession` LRU.
+//! correctness on batches the join was never prepared with, the direct
+//! (shuffle-free, chunked) probe, streaming sinks, and the `JoinSession` LRU.
 
+use pgbj::knnjoin::algorithms::common::MIN_PROBE_CHUNK;
+use pgbj::knnjoin::JoinMetrics;
 use pgbj::prelude::*;
 use std::sync::Arc;
 
@@ -523,5 +525,164 @@ fn sharded_session_epoch_staleness_holds_per_shard() {
             .get_or_prepare(other, builder_for(&r, &s, Algorithm::Pgbj, 4))
             .expect("neighbour label");
         assert_eq!(session.hits(), before + 1, "{other}: expected a hit");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The direct probe: no shuffle, chunked over the worker pool
+// ---------------------------------------------------------------------------
+
+/// Ids of points inserted by [`mutate`], far above the generators' ids.
+const ADD_ID_BASE: u64 = 10_000;
+
+/// Puts adds and tombstones into the overlay (well under the compaction
+/// threshold): fresh inserts, an upsert over a frozen id and a delete.
+fn mutate(prepared: &PreparedJoin, s: &PointSet) {
+    for i in 0..6u64 {
+        let coords = vec![i as f64 * 30.0, 200.0 - i as f64 * 25.0];
+        prepared
+            .insert(Point::new(ADD_ID_BASE + i, coords))
+            .expect("insert");
+    }
+    let mut frozen = s.iter();
+    let upserted = frozen.next().expect("s nonempty").id;
+    prepared
+        .insert(Point::new(upserted, vec![100.0, 100.0]))
+        .expect("upsert");
+    assert!(prepared.delete(frozen.next().expect("s has two points").id));
+    let stats = prepared.delta_stats();
+    assert!(stats.pending_adds > 0 && stats.pending_tombstones > 0);
+    assert_eq!(stats.compactions, 0);
+}
+
+/// The deterministic per-query counters of a probe.
+fn probe_counters(m: &JoinMetrics) -> [u64; 4] {
+    [
+        m.distance_computations,
+        m.pivot_assignment_computations,
+        m.delta_probe_computations,
+        m.tombstone_masked,
+    ]
+}
+
+/// Splitting a batch across the worker pool changes neither the rows nor
+/// the counters: every pool size answers like the inline single-worker scan.
+#[test]
+fn prepared_probes_are_identical_across_worker_counts() {
+    let calibration = clustered(120, 2, 40);
+    let s = clustered(260, 2, 41);
+    // Large enough that four workers get four chunks.
+    let batch = uniform(4 * MIN_PROBE_CHUNK + 5, 2, 200.0, 42);
+    for algorithm in Algorithm::ALL {
+        for mutated in [false, true] {
+            let mut reference: Option<JoinResult> = None;
+            for workers in [1usize, 2, 4] {
+                let ctx = ExecutionContext::builder().workers(workers).build();
+                let prepared = builder_for(&calibration, &s, algorithm, 5)
+                    .prepare(&ctx)
+                    .expect("prepare");
+                if mutated {
+                    mutate(&prepared, &s);
+                }
+                let result = prepared.query(&batch).expect("query");
+                assert_eq!(result.len(), batch.len());
+                match &reference {
+                    None => reference = Some(result),
+                    Some(first) => {
+                        let label = format!("{algorithm} mutated={mutated} workers={workers}");
+                        assert_eq!(result.rows, first.rows, "{label}: rows");
+                        assert_eq!(
+                            probe_counters(&result.metrics),
+                            probe_counters(&first.metrics),
+                            "{label}: counters"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Batches on both sides of the inline/split boundary answer like the
+/// nested-loop oracle over the live corpus, with and without an overlay.
+#[test]
+fn batch_sizes_around_the_minimum_chunk_match_the_oracle() {
+    let calibration = clustered(120, 2, 43);
+    let s = clustered(260, 2, 44);
+    let ctx = ExecutionContext::builder().workers(2).build();
+    for algorithm in Algorithm::ALL {
+        for mutated in [false, true] {
+            let prepared = builder_for(&calibration, &s, algorithm, 4)
+                .prepare(&ctx)
+                .expect("prepare");
+            if mutated {
+                mutate(&prepared, &s);
+            }
+            let live = prepared.materialized_corpus();
+            for size in [
+                1,
+                MIN_PROBE_CHUNK - 1,
+                MIN_PROBE_CHUNK + 1,
+                2 * MIN_PROBE_CHUNK + 1,
+            ] {
+                let batch = clustered(size, 2, 45 + size as u64);
+                let oracle = NestedLoopJoin
+                    .join(&batch, &live, 4, DistanceMetric::Euclidean)
+                    .expect("oracle");
+                let served = prepared.query(&batch).expect("query");
+                let label = format!("{algorithm} mutated={mutated} size={size}");
+                if algorithm.is_exact() {
+                    assert!(
+                        served.matches(&oracle, 1e-9),
+                        "{label}: {:?}",
+                        served.mismatch_against(&oracle, 1e-9)
+                    );
+                } else {
+                    // The approximate join has no oracle to match; it must
+                    // report true distances and answer every object exactly
+                    // as it answers that object alone, however the batch
+                    // was split.
+                    assert_eq!(served.len(), size, "{label}");
+                    let quality = served.quality_against(&oracle);
+                    assert!(quality.distance_ratio >= 1.0 - 1e-9, "{label}");
+                    for point in batch.iter() {
+                        let row = prepared.query_one(point).expect("query_one");
+                        assert_eq!(Some(&row), served.row(point.id), "{label}: query_one");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// With `S` resident, a prepared probe moves nothing: no record crosses a
+/// shuffle on any query path, for any algorithm.
+#[test]
+fn prepared_queries_shuffle_nothing() {
+    let r = clustered(150, 2, 46);
+    let s = clustered(200, 2, 47);
+    let ctx = ExecutionContext::builder().workers(2).build();
+    let assert_unshuffled = |m: &JoinMetrics, label: &str| {
+        assert_eq!(m.shuffle_records, 0, "{label}: shuffle_records");
+        assert_eq!(m.shuffle_bytes, 0, "{label}: shuffle_bytes");
+        assert_eq!(m.r_records_shuffled, 0, "{label}: r_records_shuffled");
+        assert_eq!(m.s_records_shuffled, 0, "{label}: s_records_shuffled");
+    };
+    for algorithm in Algorithm::ALL {
+        let prepared = builder_for(&r, &s, algorithm, 5)
+            .prepare(&ctx)
+            .expect("prepare");
+        let label = algorithm.to_string();
+        assert_unshuffled(&prepared.query(&r).expect("query").metrics, &label);
+        mutate(&prepared, &s);
+        let mut rows: Vec<JoinRow> = Vec::new();
+        let metrics = prepared.query_into(&r, &mut rows).expect("query_into");
+        assert_unshuffled(&metrics, &label);
+        for point in r.iter().take(3) {
+            prepared.query_one(point).expect("query_one");
+        }
+        let cumulative = prepared.cumulative_metrics();
+        assert_unshuffled(&cumulative, &label);
+        assert_eq!(prepared.stats().queries, 5);
     }
 }
