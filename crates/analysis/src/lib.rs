@@ -7,9 +7,9 @@
 //! code comments only used to *claim*:
 //!
 //! * **unsafe-containment / safety-comment / target-feature-parity** —
-//!   `unsafe` stays inside the declared kernel files, every unsafe block
-//!   carries a `// SAFETY:` argument, every accelerated kernel has a scalar
-//!   twin exercised by a parity test;
+//!   `unsafe` stays inside the declared files (none in this workspace),
+//!   where every unsafe block would carry a `// SAFETY:` argument and every
+//!   accelerated kernel a scalar twin exercised by a parity test;
 //! * **panic-freedom** — user-reachable library paths return typed
 //!   `JoinError`s instead of panicking (no unwrap/expect/panic!/indexing);
 //! * **determinism** — counter/metrics files never read clocks or iterate

@@ -98,11 +98,10 @@ fn bench_kernel_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// One query against a block of candidate rows: the scalar kernel loop (the
-/// `Exact` hot path) against the multi-accumulator batch kernel that the
-/// `Fast` mode streams [`kernels::PROBE_TILE`]-row tiles through.  The
-/// acceptance bar for the batch layer was ≥ 2× the scalar loop on the
-/// 10-dimensional squared-Euclidean workload.
+/// One query against a block of candidate rows: the scalar kernel loop
+/// against the row-blocked batch kernel that R-tree leaves and z-order
+/// windows use.  Both produce the same bits; the batch kernel only keeps
+/// eight rows' accumulator chains in flight at once.
 fn bench_batch_kernel_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_kernel_throughput");
     group.sample_size(200);
@@ -113,12 +112,11 @@ fn bench_batch_kernel_throughput(c: &mut Criterion) {
             .clone();
         let mut out = vec![0.0f64; candidates.len()];
         // The pairwise kernels are consumed through hoisted function
-        // pointers (`DistanceMetric::kernel()` / `fast_kernel()`) in every
-        // join path, so the row-at-a-time baselines go through one too —
-        // a direct call would let LLVM inline and specialize the loop in a
-        // way no real consumer sees.
+        // pointers (`DistanceMetric::kernel()`) in every join path, so the
+        // row-at-a-time baseline goes through one too — a direct call would
+        // let LLVM inline and specialize the loop in a way no real consumer
+        // sees.
         let scalar: kernels::Kernel = kernels::squared_euclidean;
-        let fast: kernels::Kernel = kernels::squared_euclidean_fast;
         group.bench_with_input(
             BenchmarkId::new("scalar_squared_euclidean", dims),
             &candidates,
@@ -127,19 +125,6 @@ fn bench_batch_kernel_throughput(c: &mut Criterion) {
                     let mut acc = 0.0;
                     for row in m.rows() {
                         acc += scalar(black_box(&query), row);
-                    }
-                    acc
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("fast_squared_euclidean", dims),
-            &candidates,
-            |b, m| {
-                b.iter(|| {
-                    let mut acc = 0.0;
-                    for row in m.rows() {
-                        acc += fast(black_box(&query), row);
                     }
                     acc
                 });
@@ -160,40 +145,13 @@ fn bench_batch_kernel_throughput(c: &mut Criterion) {
                 });
             },
         );
-        // The tiled shape the probe paths actually use: PROBE_TILE rows per
-        // call into a stack-sized scratch.
-        group.bench_with_input(
-            BenchmarkId::new("squared_euclidean_batch_tiled", dims),
-            &candidates,
-            |b, m| {
-                b.iter(|| {
-                    let rows = m.as_slice();
-                    let mut scratch = [0.0f64; kernels::PROBE_TILE];
-                    let mut acc = 0.0;
-                    let mut t0 = 0;
-                    while t0 < m.len() {
-                        let t1 = (t0 + kernels::PROBE_TILE).min(m.len());
-                        let tile = &mut scratch[..t1 - t0];
-                        kernels::squared_euclidean_batch(
-                            black_box(&query),
-                            &rows[t0 * dims..t1 * dims],
-                            dims,
-                            tile,
-                        );
-                        acc += tile.iter().sum::<f64>();
-                        t0 = t1;
-                    }
-                    acc
-                });
-            },
-        );
     }
     group.finish();
 }
 
-/// Satellite of the batch-kernel PR: the early-exit check cadence is chosen
-/// from the dimensionality (`bounded_check_cadence`), because at d ≤ 8 the
-/// bound branch costs more than the arithmetic it can skip.  Compares the
+/// The early-exit check cadence is chosen from the dimensionality
+/// (`bounded_check_cadence`), because at d ≤ 8 the bound branch costs more
+/// than the arithmetic it can skip.  Compares the
 /// historical fixed-cadence-8 kernel against the dimension-aware choice on a
 /// realistic pruning workload (bound = the k-th smallest distance, so most
 /// rows can exit early when a check runs at all).

@@ -7,12 +7,6 @@
 //! index builds, shuffle volume, and — against the nested-loop oracle — the
 //! approximation quality (recall and distance ratio; exactly 1 for the exact
 //! algorithms, the interesting row is H-zkNNJ's).  A second row set
-//! (`"<name> (fast)"`) repeats each cold join with
-//! `kernel_mode = KernelMode::Fast`, so the SIMD-accumulated batch-kernel
-//! path carries its own reference counters next to the scalar `Exact` rows
-//! it must agree with (the tiled scans bill whole in-window tile spans, so
-//! their `distance_computations` legitimately differ from the per-candidate
-//! `Exact` loop — but deterministically so).  A third row set
 //! (`"<name> (prepared)"`) measures the serving path: one
 //! `JoinBuilder::prepare` build followed by [`PREPARED_QUERIES`] repeated
 //! `PreparedJoin::query` calls, reporting the per-query counters (which must
@@ -27,7 +21,7 @@ use super::ExperimentOutput;
 use crate::json::Value;
 use crate::report::{fmt_f64, Table};
 use crate::workloads::{ExperimentScale, Workloads};
-use geom::{DistanceMetric, KernelMode};
+use geom::DistanceMetric;
 use knnjoin::{Algorithm, JoinBuilder, JoinResult};
 use std::time::Instant;
 
@@ -64,9 +58,8 @@ pub struct BaselineRow {
     pub distance_ratio: f64,
     /// Prepared rows only: one-time build wall time.  0 on cold rows.
     pub build_time_s: f64,
-    /// Fast and prepared rows: the `Exact` cold wall time this row compares
-    /// against (the speedup / amortization denominator).  0 on exact cold
-    /// rows.
+    /// Prepared rows: the cold wall time this row compares against (the
+    /// amortization denominator).  0 on cold rows.
     pub cold_wall_time_s: f64,
 }
 
@@ -78,7 +71,7 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
     let reducers = workloads.default_reducers();
     let pivots = workloads.default_pivots();
 
-    let run = |algorithm: Algorithm, mode: KernelMode| -> JoinResult {
+    let run = |algorithm: Algorithm| -> JoinResult {
         JoinBuilder::new(&data, &data)
             .k(k)
             .metric(DistanceMetric::Euclidean)
@@ -87,13 +80,12 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             .reducers(reducers)
             .shift_copies(workloads.default_shift_copies())
             .z_window(workloads.default_z_window())
-            .kernel_mode(mode)
             .run(workloads.context())
             .expect("baseline join must succeed")
     };
 
     // The oracle anchors the quality columns for every algorithm.
-    let oracle = run(Algorithm::NestedLoopJoin, KernelMode::Exact);
+    let oracle = run(Algorithm::NestedLoopJoin);
 
     let algorithms = [
         Algorithm::Hbrj,
@@ -109,7 +101,7 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             let result = if algorithm == Algorithm::NestedLoopJoin {
                 oracle.clone()
             } else {
-                run(algorithm, KernelMode::Exact)
+                run(algorithm)
             };
             let quality = result.quality_against(&oracle);
             let m = &result.metrics;
@@ -136,35 +128,6 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             .map(|r| r.wall_time_s)
             .unwrap_or(0.0)
     };
-
-    // ---- Fast-mode cold rows: the same joins through the SIMD batch
-    // kernels (`kernel_mode = Fast`), each carrying the Exact cold wall it
-    // is expected to beat.  Results must agree with Exact within 1e-9; the
-    // counters are deterministic but mode-specific (tiled scans bill whole
-    // in-window tile spans).
-    let fast_rows: Vec<BaselineRow> = algorithms
-        .iter()
-        .map(|&algorithm| {
-            let result = run(algorithm, KernelMode::Fast);
-            let quality = result.quality_against(&oracle);
-            let m = &result.metrics;
-            BaselineRow {
-                algorithm: format!("{} (fast)", algorithm.name()),
-                wall_time_s: m.total_time().as_secs_f64(),
-                distance_computations: m.distance_computations,
-                pivot_assignment_computations: m.pivot_assignment_computations,
-                index_builds: m.index_builds,
-                pivot_selections: m.pivot_selections,
-                shuffle_bytes: m.shuffle_bytes,
-                shuffle_records: m.shuffle_records,
-                recall: quality.recall,
-                distance_ratio: quality.distance_ratio,
-                build_time_s: 0.0,
-                cold_wall_time_s: cold_wall_of(algorithm.name(), &rows),
-            }
-        })
-        .collect();
-    rows.extend(fast_rows);
 
     // ---- Prepared serving rows: one build, PREPARED_QUERIES queries -------
     let prepared_rows: Vec<BaselineRow> = algorithms
@@ -210,8 +173,7 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
     rows.extend(prepared_rows);
 
     let mut table = Table::new(
-        "Performance baseline (self-join on the default Forest-like workload; \
-         \"(fast)\" rows rerun the join with kernel_mode = Fast)",
+        "Performance baseline (self-join on the default Forest-like workload)",
         &[
             "algorithm",
             "wall time [s]",
@@ -309,8 +271,8 @@ mod tests {
         let out = perf_baseline(ExperimentScale::Quick);
         assert_eq!(out.id, "perf_baseline");
         let rows = out.json.as_array().expect("array of rows");
-        // Six exact cold rows, six fast-mode cold rows, six prepared rows.
-        assert_eq!(rows.len(), 18);
+        // Six cold rows, six prepared rows.
+        assert_eq!(rows.len(), 12);
         let names: Vec<&str> = rows
             .iter()
             .map(|r| r["algorithm"].as_str().expect("name"))
@@ -319,8 +281,7 @@ mod tests {
             &names[..6],
             &["H-BRJ", "PBJ", "PGBJ", "H-zkNNJ", "Broadcast", "NestedLoop"]
         );
-        assert!(names[6..12].iter().all(|n| n.ends_with("(fast)")));
-        assert!(names[12..].iter().all(|n| n.ends_with("(prepared)")));
+        assert!(names[6..].iter().all(|n| n.ends_with("(prepared)")));
         for row in rows {
             assert!(row["wall_time_s"].as_f64().expect("time") >= 0.0);
             assert!(row["distance_computations"].as_u64().expect("comps") > 0);
@@ -358,57 +319,8 @@ mod tests {
     }
 
     #[test]
-    fn fast_rows_track_their_exact_twins() {
-        // The Fast kernel mode changes *how* distances are accumulated, not
-        // which rows flow where: the shuffle is mode-independent, and the
-        // answers agree with Exact within 1e-9, so the id-based recall of a
-        // fast row equals its exact twin's bit for bit.
-        let out = perf_baseline(ExperimentScale::Quick);
-        let rows = out.json.as_array().expect("rows");
-        let by_name = |name: &str| {
-            rows.iter()
-                .find(|r| r["algorithm"].as_str() == Some(name))
-                .unwrap_or_else(|| panic!("missing row {name}"))
-        };
-        for algorithm in ["H-BRJ", "PBJ", "PGBJ", "H-zkNNJ", "Broadcast", "NestedLoop"] {
-            let exact = by_name(algorithm);
-            let fast = by_name(&format!("{algorithm} (fast)"));
-            assert!(fast["distance_computations"].as_u64().expect("comps") > 0);
-            assert_eq!(
-                fast["shuffle_bytes"].as_u64(),
-                exact["shuffle_bytes"].as_u64(),
-                "{algorithm}: shuffle volume must not depend on the kernel mode"
-            );
-            assert_eq!(
-                fast["shuffle_records"].as_u64(),
-                exact["shuffle_records"].as_u64(),
-                "{algorithm}"
-            );
-            let (fr, er) = (
-                fast["recall"].as_f64().expect("recall"),
-                exact["recall"].as_f64().expect("recall"),
-            );
-            assert!((fr - er).abs() < 1e-12, "{algorithm}: recall {fr} vs {er}");
-            let (fd, ed) = (
-                fast["distance_ratio"].as_f64().expect("ratio"),
-                exact["distance_ratio"].as_f64().expect("ratio"),
-            );
-            assert!(
-                (fd - ed).abs() < 1e-9,
-                "{algorithm}: distance ratio {fd} vs {ed}"
-            );
-            // The speedup denominator rides along on the row.
-            assert_eq!(
-                fast["cold_wall_time_s"].as_f64(),
-                exact["wall_time_s"].as_f64(),
-                "{algorithm}"
-            );
-        }
-    }
-
-    #[test]
     fn exact_quick_counters_match_the_committed_baseline() {
-        // Guard for the committed reference trajectory: the Exact path's
+        // Guard for the committed reference trajectory: the cold rows'
         // deterministic counters must stay bit-identical to the checked-in
         // BENCH_baseline_quick.json.  (CI enforces the same via the
         // experiments binary's `--check` flag; this test catches the drift

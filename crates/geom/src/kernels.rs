@@ -14,7 +14,11 @@
 //!   partial sum proves the result can only be **≥ `bound`**: they return a
 //!   value `≥ bound` in that case and the exact kernel value otherwise.  The
 //!   partial sums accumulate in the same order as the plain kernels, so a
-//!   bounded call that runs to completion returns a bit-identical value.
+//!   bounded call that runs to completion returns a bit-identical value;
+//! * the `*_batch` kernels rank one query against a whole block of rows per
+//!   call (R-tree leaves, z-order windows).  They block rows, never
+//!   dimensions, so each row's value is bit-identical to the plain kernel's
+//!   on every CPU.
 //!
 //! Squared distances are safe wherever only comparisons *within* the squared
 //! domain happen (argmin against a running best kept in the same domain).
@@ -32,67 +36,17 @@ pub type BoundedKernel = fn(&[f64], &[f64], f64) -> f64;
 
 /// A one-query-vs-many-rows kernel: `f(q, rows, dim, out)` where `rows` is a
 /// flat row-major block of `out.len()` rows of `dim` coordinates (a
-/// [`crate::CoordMatrix`] sub-slice) and `out[i]` receives the *rank* of
-/// `(q, rows[i])` — the squared distance for L2, the distance itself for
-/// L1/L∞.  Batch kernels accumulate with the multi-accumulator [`KernelMode::Fast`]
-/// order, so their values agree with the scalar kernels to ~1e-9 relative,
-/// not bit for bit.
+/// [`crate::CoordMatrix`] sub-slice) and `out[i]` receives the kernel value
+/// of `(q, rows[i])`.  Every batch kernel is bit-identical, row for row, to
+/// its scalar twin: rows are blocked, but each row still accumulates its
+/// dimensions left to right.
 pub type BatchKernel = fn(&[f64], &[f64], usize, &mut [f64]);
-
-/// The `f32` counterpart of [`BatchKernel`], used by the
-/// [`KernelMode::RankF32`] candidate-filtering path.
-pub type BatchKernelF32 = fn(&[f32], &[f32], usize, &mut [f32]);
-
-/// How many rows of a flat coordinate block the tiled probe loops evaluate
-/// per batch-kernel call.  256 rows × 16 dims × 8 bytes = 32 KiB, so a tile
-/// plus its rank scratch stays L1/L2-resident while the batch kernel streams
-/// it; consumers re-slice larger S blocks into `PROBE_TILE`-row tiles.
-pub const PROBE_TILE: usize = 256;
 
 /// How many accumulation steps run between early-exit bound checks.  Checking
 /// every element costs more than it saves at low dimensionality; a small
 /// block keeps the check amortised while still cutting high-dimensional scans
 /// short.
 const CHECK_EVERY: usize = 8;
-
-/// Which kernel family the distance hot loops use.  The default preserves
-/// the repo's bit-identical baseline; the other two trade bit-stability (not
-/// correctness of the *neighbour sets*) for throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelMode {
-    /// Today's scalar left-to-right kernels: results and deterministic
-    /// counters are bit-identical to the committed baselines.
-    #[default]
-    Exact,
-    /// Multi-accumulator SIMD-friendly kernels and tiled batch probes.
-    /// Floating-point addition is reordered, so distances agree with
-    /// [`KernelMode::Exact`] to ~1e-9 relative rather than bit for bit, and
-    /// pruning counters may differ (the tiled scans re-evaluate bounds per
-    /// tile instead of per candidate).
-    Fast,
-    /// `f32` ranks filter candidates; every distance that survives into a
-    /// result row is refined in `f64`.  Approximate: a candidate whose `f32`
-    /// rank rounds past the running threshold can be missed, so recall is
-    /// reported through the QualityReport machinery.  Consumers without an
-    /// `f32` shadow path fall back to [`KernelMode::Fast`].
-    RankF32,
-}
-
-impl KernelMode {
-    /// Human-readable label used by the bench harness when naming rows.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KernelMode::Exact => "exact",
-            KernelMode::Fast => "fast",
-            KernelMode::RankF32 => "rank-f32",
-        }
-    }
-
-    /// Whether this mode guarantees bit-identical results and counters.
-    pub fn is_exact(&self) -> bool {
-        matches!(self, KernelMode::Exact)
-    }
-}
 
 /// Squared Euclidean distance `Σ (aᵢ − bᵢ)²` — the L2 argmin workhorse.
 ///
@@ -140,293 +94,27 @@ pub fn chebyshev(a: &[f64], b: &[f64]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Fast (multi-accumulator) pairwise kernels
-// ---------------------------------------------------------------------------
-
-/// [`squared_euclidean`] with four independent partial sums over
-/// `chunks_exact(4)`.  Breaking the loop-carried addition chain lets stable
-/// rustc keep several FMAs in flight (and autovectorize the chunk body), at
-/// the price of a different — but deterministic — accumulation order: values
-/// agree with the scalar kernel to ~1e-9 relative, not bit for bit.
-#[inline]
-pub fn squared_euclidean_fast(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
-    let head = a.len() & !3;
-    let (a_head, a_tail) = a.split_at(head);
-    let (b_head, b_tail) = b.split_at(head);
-    let mut acc = [0.0f64; 4];
-    for (ca, cb) in a_head.chunks_exact(4).zip(b_head.chunks_exact(4)) {
-        let d0 = ca[0] - cb[0];
-        let d1 = ca[1] - cb[1];
-        let d2 = ca[2] - cb[2];
-        let d3 = ca[3] - cb[3];
-        acc[0] += d0 * d0;
-        acc[1] += d1 * d1;
-        acc[2] += d2 * d2;
-        acc[3] += d3 * d3;
-    }
-    let mut tail = 0.0;
-    for (x, y) in a_tail.iter().zip(b_tail) {
-        let d = x - y;
-        tail += d * d;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// Fast Euclidean distance: `sqrt` of [`squared_euclidean_fast`].
-#[inline]
-pub fn euclidean_fast(a: &[f64], b: &[f64]) -> f64 {
-    squared_euclidean_fast(a, b).sqrt()
-}
-
-/// [`manhattan`] with four independent partial sums (see
-/// [`squared_euclidean_fast`] for the accumulation-order caveat).
-#[inline]
-pub fn manhattan_fast(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
-    let head = a.len() & !3;
-    let (a_head, a_tail) = a.split_at(head);
-    let (b_head, b_tail) = b.split_at(head);
-    let mut acc = [0.0f64; 4];
-    for (ca, cb) in a_head.chunks_exact(4).zip(b_head.chunks_exact(4)) {
-        acc[0] += (ca[0] - cb[0]).abs();
-        acc[1] += (ca[1] - cb[1]).abs();
-        acc[2] += (ca[2] - cb[2]).abs();
-        acc[3] += (ca[3] - cb[3]).abs();
-    }
-    let mut tail = 0.0;
-    for (x, y) in a_tail.iter().zip(b_tail) {
-        tail += (x - y).abs();
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// [`chebyshev`] with four independent running maxima.  `max` is insensitive
-/// to evaluation order (all inputs pass through `abs`, so signed zeros cannot
-/// differ), making this the one fast kernel that stays bit-identical to its
-/// scalar twin.
-#[inline]
-pub fn chebyshev_fast(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
-    let head = a.len() & !3;
-    let (a_head, a_tail) = a.split_at(head);
-    let (b_head, b_tail) = b.split_at(head);
-    let mut acc = [0.0f64; 4];
-    for (ca, cb) in a_head.chunks_exact(4).zip(b_head.chunks_exact(4)) {
-        acc[0] = acc[0].max((ca[0] - cb[0]).abs());
-        acc[1] = acc[1].max((ca[1] - cb[1]).abs());
-        acc[2] = acc[2].max((ca[2] - cb[2]).abs());
-        acc[3] = acc[3].max((ca[3] - cb[3]).abs());
-    }
-    let mut m = acc[0].max(acc[1]).max(acc[2].max(acc[3]));
-    for (x, y) in a_tail.iter().zip(b_tail) {
-        m = m.max((x - y).abs());
-    }
-    m
-}
-
-// ---------------------------------------------------------------------------
 // Batch (one query vs many rows) kernels
 // ---------------------------------------------------------------------------
 
-/// Explicit SIMD batch kernels for x86-64, selected at runtime with
-/// `is_x86_feature_detected!` (the workspace builds for the baseline
-/// `x86-64` target, which only guarantees SSE2 — wide vectors must be opted
-/// into per function).  Four rows are kept in flight, each with its own
-/// 256-bit accumulator, the ragged `dim % 4` tail is covered by a masked
-/// load (masked-out lanes read as 0.0 and contribute nothing), and the four
-/// accumulators horizontally reduce into four output slots at once.
-///
-/// Accumulation groups every 4th dimension per lane — the same shape as the
-/// `*_fast` kernels — and the squared-Euclidean variant fuses
-/// multiply-and-add into FMA, so results agree with the scalar twins to
-/// ~1e-9 relative (measured ~4e-16) but are *not* bit-identical, and may
-/// differ in the last bits between CPUs with and without AVX2.  `Exact`
-/// mode never routes through these.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    #[inline]
-    pub(super) fn have_avx2_fma() -> bool {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-
-    #[inline]
-    // lint: allow(target-feature-parity) -- CPU-feature probe, not an
-    // accelerated kernel; it has no scalar twin by design.
-    pub(super) fn have_avx2() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    macro_rules! avx2_batch_kernel {
-        ($name:ident, $features:literal, $scalar_rem:path,
-         ($($mask_decl:tt)*), |$qv:ident, $xv:ident, $acc:ident| $step:expr,
-         |$a0:ident, $a1:ident, $a2:ident, $a3:ident| $reduce:expr) => {
-            /// # Safety
-            /// Caller must verify the `$features` CPU features at runtime and
-            /// uphold `q.len() == dim && rows.len() == dim * out.len()`.
-            #[target_feature(enable = $features)]
-            pub(super) unsafe fn $name(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-                use std::arch::x86_64::*;
-                let n = out.len();
-                let full = dim & !3;
-                let rem = dim - full;
-                // Top-bit-set lanes of the mask select the tail elements.
-                let tail_mask = _mm256_setr_epi64x(
-                    if rem > 0 { -1 } else { 0 },
-                    if rem > 1 { -1 } else { 0 },
-                    if rem > 2 { -1 } else { 0 },
-                    0,
-                );
-                $($mask_decl)*
-                let qp = q.as_ptr();
-                let mut r0 = rows.as_ptr();
-                let mut i = 0;
-                while i + 4 <= n {
-                    let r1 = r0.add(dim);
-                    let r2 = r1.add(dim);
-                    let r3 = r2.add(dim);
-                    let mut $a0 = _mm256_setzero_pd();
-                    let mut $a1 = _mm256_setzero_pd();
-                    let mut $a2 = _mm256_setzero_pd();
-                    let mut $a3 = _mm256_setzero_pd();
-                    let mut d = 0;
-                    while d < full {
-                        let $qv = _mm256_loadu_pd(qp.add(d));
-                        {
-                            let $xv = _mm256_loadu_pd(r0.add(d));
-                            let $acc = &mut $a0;
-                            $step;
-                        }
-                        {
-                            let $xv = _mm256_loadu_pd(r1.add(d));
-                            let $acc = &mut $a1;
-                            $step;
-                        }
-                        {
-                            let $xv = _mm256_loadu_pd(r2.add(d));
-                            let $acc = &mut $a2;
-                            $step;
-                        }
-                        {
-                            let $xv = _mm256_loadu_pd(r3.add(d));
-                            let $acc = &mut $a3;
-                            $step;
-                        }
-                        d += 4;
-                    }
-                    if rem > 0 {
-                        let $qv = _mm256_maskload_pd(qp.add(full), tail_mask);
-                        {
-                            let $xv = _mm256_maskload_pd(r0.add(full), tail_mask);
-                            let $acc = &mut $a0;
-                            $step;
-                        }
-                        {
-                            let $xv = _mm256_maskload_pd(r1.add(full), tail_mask);
-                            let $acc = &mut $a1;
-                            $step;
-                        }
-                        {
-                            let $xv = _mm256_maskload_pd(r2.add(full), tail_mask);
-                            let $acc = &mut $a2;
-                            $step;
-                        }
-                        {
-                            let $xv = _mm256_maskload_pd(r3.add(full), tail_mask);
-                            let $acc = &mut $a3;
-                            $step;
-                        }
-                    }
-                    let sums: __m256d = $reduce;
-                    _mm256_storeu_pd(out.as_mut_ptr().add(i), sums);
-                    r0 = r3.add(dim);
-                    i += 4;
-                }
-                while i < n {
-                    out[i] = $scalar_rem(q, &rows[i * dim..(i + 1) * dim]);
-                    i += 1;
-                }
-            }
-        };
-    }
-
-    avx2_batch_kernel!(
-        squared_euclidean_batch_avx2,
-        "avx2,fma",
-        super::squared_euclidean_fast,
-        (),
-        |qv, xv, acc| {
-            let diff = _mm256_sub_pd(qv, xv);
-            *acc = _mm256_fmadd_pd(diff, diff, *acc);
-        },
-        |a0, a1, a2, a3| {
-            // 4x4 horizontal sum: hadd pairs rows (0,1) and (2,3), the two
-            // 128-bit cross permutes realign the lane halves, and one add
-            // yields [Σa0, Σa1, Σa2, Σa3].
-            let h01 = _mm256_hadd_pd(a0, a1);
-            let h23 = _mm256_hadd_pd(a2, a3);
-            let lo = _mm256_permute2f128_pd(h01, h23, 0x20);
-            let hi = _mm256_permute2f128_pd(h01, h23, 0x31);
-            _mm256_add_pd(lo, hi)
-        }
-    );
-
-    avx2_batch_kernel!(
-        manhattan_batch_avx2,
-        "avx2",
-        super::manhattan_fast,
-        (let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));),
-        |qv, xv, acc| {
-            let diff = _mm256_sub_pd(qv, xv);
-            *acc = _mm256_add_pd(_mm256_and_pd(diff, abs_mask), *acc);
-        },
-        |a0, a1, a2, a3| {
-            let h01 = _mm256_hadd_pd(a0, a1);
-            let h23 = _mm256_hadd_pd(a2, a3);
-            let lo = _mm256_permute2f128_pd(h01, h23, 0x20);
-            let hi = _mm256_permute2f128_pd(h01, h23, 0x31);
-            _mm256_add_pd(lo, hi)
-        }
-    );
-
-    avx2_batch_kernel!(
-        chebyshev_batch_avx2,
-        "avx2",
-        super::chebyshev_fast,
-        (let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));),
-        |qv, xv, acc| {
-            let diff = _mm256_sub_pd(qv, xv);
-            *acc = _mm256_max_pd(_mm256_and_pd(diff, abs_mask), *acc);
-        },
-        |a0, a1, a2, a3| {
-            // 4x4 horizontal max via the same pairing shape: unpack keeps
-            // (row, lane-half) pairs together, the cross permutes realign,
-            // and two max ops finish [max a0, max a1, max a2, max a3].
-            let u01 = _mm256_unpacklo_pd(a0, a1);
-            let v01 = _mm256_unpackhi_pd(a0, a1);
-            let m01 = _mm256_max_pd(u01, v01);
-            let u23 = _mm256_unpacklo_pd(a2, a3);
-            let v23 = _mm256_unpackhi_pd(a2, a3);
-            let m23 = _mm256_max_pd(u23, v23);
-            let lo = _mm256_permute2f128_pd(m01, m23, 0x20);
-            let hi = _mm256_permute2f128_pd(m01, m23, 0x31);
-            _mm256_max_pd(lo, hi)
-        }
-    );
-}
-
-/// Expands to a 4-row-blocked batch kernel: rows are processed four at a
-/// time with the per-dimension loop innermost, so the four per-row
+/// Expands to an 8-row-blocked batch kernel: rows are processed eight at a
+/// time with the per-dimension loop innermost, so the eight per-row
 /// accumulator chains are independent and the CPU (or the autovectorizer)
 /// overlaps them.  Each row's *own* accumulation stays in plain dimension
 /// order — cross-row blocking needs no reassociation — so every output slot
-/// is bit-identical to the scalar `$scalar` kernel; the under-four remainder
+/// is bit-identical to the scalar `$scalar` kernel; the under-eight remainder
 /// goes through `$scalar` directly.
 macro_rules! row_blocked_batch {
     ($q:ident, $rows:ident, $dim:ident, $out:ident, $scalar:ident,
      |$qd:ident, $x:ident, $acc:ident| $step:expr) => {{
         assert_eq!($q.len(), $dim, "query dimensionality mismatch");
         assert_eq!($rows.len(), $dim * $out.len(), "ragged batch block");
+        if $dim == 0 {
+            // Zero-dimensional rows are all at distance 0, as the scalar
+            // kernels report (and `chunks_exact` rejects a zero chunk).
+            $out.fill(0.0);
+            return;
+        }
         const BLOCK: usize = 8;
         let mut blocks = $rows.chunks_exact(BLOCK * $dim);
         let mut slots = $out.chunks_exact_mut(BLOCK);
@@ -458,28 +146,15 @@ macro_rules! row_blocked_batch {
 }
 
 /// Squared Euclidean ranks of `q` against every row of a flat row-major
-/// coordinate block: `out[i] = Σ_d (q[d] − rows[i·dim + d])²`.  One call
-/// streams a whole [`PROBE_TILE`]-sized tile through multiple independent
-/// accumulator chains instead of paying a call and a serial dependency chain
-/// per row: on x86-64 with AVX2+FMA (runtime-detected) four rows are kept in
-/// flight with a 256-bit FMA accumulator each; elsewhere rows are blocked
-/// eight at a time with the dimension loop innermost.  Consumers must only
-/// rely on the documented ~1e-9 agreement with the scalar twin, not on bit
-/// equality — the accumulation shape differs between the two paths.
+/// coordinate block: `out[i] = Σ_d (q[d] − rows[i·dim + d])²`, bit-identical
+/// to [`squared_euclidean`] on each row.  One call streams a whole block
+/// through eight independent accumulator chains instead of paying a call and
+/// a serial dependency chain per row.
 ///
 /// # Panics
 /// Panics if `q.len() != dim` or `rows.len() != dim * out.len()`.
 #[inline]
 pub fn squared_euclidean_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-    assert_eq!(q.len(), dim, "query dimensionality mismatch");
-    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
-    #[cfg(target_arch = "x86_64")]
-    if dim > 0 && x86::have_avx2_fma() {
-        // SAFETY: required CPU features verified at runtime; slice
-        // invariants asserted above.
-        unsafe { x86::squared_euclidean_batch_avx2(q, rows, dim, out) };
-        return;
-    }
     row_blocked_batch!(q, rows, dim, out, squared_euclidean, |qd, x, acc| {
         let d = qd - x;
         *acc += d * d;
@@ -487,7 +162,8 @@ pub fn squared_euclidean_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f
 }
 
 /// Euclidean distances of `q` against every row: [`squared_euclidean_batch`]
-/// followed by a vectorizable `sqrt` sweep over `out`.
+/// followed by a vectorizable `sqrt` sweep over `out`, bit-identical to
+/// [`euclidean`] on each row.
 #[inline]
 pub fn euclidean_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
     squared_euclidean_batch(q, rows, dim, out);
@@ -497,149 +173,21 @@ pub fn euclidean_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
 }
 
 /// Manhattan ranks (= distances) of `q` against every row of a flat block,
-/// 4-row-blocked (see [`squared_euclidean_batch`]).
+/// bit-identical to [`manhattan`] on each row.
 #[inline]
 pub fn manhattan_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-    assert_eq!(q.len(), dim, "query dimensionality mismatch");
-    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
-    #[cfg(target_arch = "x86_64")]
-    if dim > 0 && x86::have_avx2() {
-        // SAFETY: required CPU features verified at runtime; slice
-        // invariants asserted above.
-        unsafe { x86::manhattan_batch_avx2(q, rows, dim, out) };
-        return;
-    }
     row_blocked_batch!(q, rows, dim, out, manhattan, |qd, x, acc| {
         *acc += (qd - x).abs();
     });
 }
 
 /// Chebyshev ranks (= distances) of `q` against every row of a flat block,
-/// 4-row-blocked (see [`squared_euclidean_batch`]).
+/// bit-identical to [`chebyshev`] on each row.
 #[inline]
 pub fn chebyshev_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-    assert_eq!(q.len(), dim, "query dimensionality mismatch");
-    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
-    #[cfg(target_arch = "x86_64")]
-    if dim > 0 && x86::have_avx2() {
-        // SAFETY: required CPU features verified at runtime; slice
-        // invariants asserted above.
-        unsafe { x86::chebyshev_batch_avx2(q, rows, dim, out) };
-        return;
-    }
     row_blocked_batch!(q, rows, dim, out, chebyshev, |qd, x, acc| {
         *acc = (*acc).max((qd - x).abs());
     });
-}
-
-/// Rank argmin of `q` over every row of a flat block without materialising
-/// the ranks: returns `(row_index, rank)` of the first row attaining the
-/// minimum (first-index-wins, matching the scalar argmin loops).  `rank_fn`
-/// is one of the fast pairwise rank kernels.
-///
-/// # Panics
-/// Panics if the block is empty or ragged.
-#[inline]
-pub fn batch_rank_argmin(q: &[f64], rows: &[f64], dim: usize, rank_fn: Kernel) -> (usize, f64) {
-    assert!(dim > 0 && !rows.is_empty(), "empty batch block");
-    assert_eq!(rows.len() % dim, 0, "ragged batch block");
-    let mut best = 0usize;
-    let mut best_rank = f64::INFINITY;
-    for (i, row) in rows.chunks_exact(dim).enumerate() {
-        let rank = rank_fn(q, row);
-        if rank < best_rank {
-            best_rank = rank;
-            best = i;
-        }
-    }
-    (best, best_rank)
-}
-
-// ---------------------------------------------------------------------------
-// f32 batch kernels (the RankF32 candidate filter)
-// ---------------------------------------------------------------------------
-
-/// Converts an `f64` coordinate slice to `f32`, appending to `dst`.
-#[inline]
-pub fn downcast_coords(src: &[f64], dst: &mut Vec<f32>) {
-    dst.extend(src.iter().map(|&v| v as f32));
-}
-
-/// `f32` squared-Euclidean ranks of `q` against every row of a flat `f32`
-/// block — eight independent accumulators (f32 lanes are twice as wide).
-/// Filter-only: callers refine surviving candidates in `f64`.
-///
-/// # Panics
-/// Panics if `q.len() != dim` or `rows.len() != dim * out.len()`.
-#[inline]
-pub fn squared_euclidean_batch_f32(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
-    assert_eq!(q.len(), dim, "query dimensionality mismatch");
-    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
-    for (row, slot) in rows.chunks_exact(dim).zip(out.iter_mut()) {
-        let head = dim & !7;
-        let mut acc = [0.0f32; 8];
-        for (cq, cr) in q[..head].chunks_exact(8).zip(row[..head].chunks_exact(8)) {
-            for l in 0..8 {
-                let d = cq[l] - cr[l];
-                acc[l] += d * d;
-            }
-        }
-        let mut tail = 0.0f32;
-        for (x, y) in q[head..].iter().zip(&row[head..]) {
-            let d = x - y;
-            tail += d * d;
-        }
-        *slot = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
-            + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-            + tail;
-    }
-}
-
-/// `f32` Manhattan ranks of `q` against every row of a flat `f32` block.
-#[inline]
-pub fn manhattan_batch_f32(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
-    assert_eq!(q.len(), dim, "query dimensionality mismatch");
-    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
-    for (row, slot) in rows.chunks_exact(dim).zip(out.iter_mut()) {
-        let head = dim & !7;
-        let mut acc = [0.0f32; 8];
-        for (cq, cr) in q[..head].chunks_exact(8).zip(row[..head].chunks_exact(8)) {
-            for l in 0..8 {
-                acc[l] += (cq[l] - cr[l]).abs();
-            }
-        }
-        let mut tail = 0.0f32;
-        for (x, y) in q[head..].iter().zip(&row[head..]) {
-            tail += (x - y).abs();
-        }
-        *slot = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
-            + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-            + tail;
-    }
-}
-
-/// `f32` Chebyshev ranks of `q` against every row of a flat `f32` block.
-#[inline]
-pub fn chebyshev_batch_f32(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
-    assert_eq!(q.len(), dim, "query dimensionality mismatch");
-    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
-    for (row, slot) in rows.chunks_exact(dim).zip(out.iter_mut()) {
-        let head = dim & !7;
-        let mut acc = [0.0f32; 8];
-        for (cq, cr) in q[..head].chunks_exact(8).zip(row[..head].chunks_exact(8)) {
-            for l in 0..8 {
-                acc[l] = acc[l].max((cq[l] - cr[l]).abs());
-            }
-        }
-        let mut m = acc[0]
-            .max(acc[1])
-            .max(acc[2].max(acc[3]))
-            .max(acc[4].max(acc[5]).max(acc[6].max(acc[7])));
-        for (x, y) in q[head..].iter().zip(&row[head..]) {
-            m = m.max((x - y).abs());
-        }
-        *slot = m;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -826,17 +374,10 @@ mod tests {
         assert_eq!(euclidean(&a, &b), 5.0);
         assert_eq!(manhattan(&a, &b), 7.0);
         assert_eq!(chebyshev(&a, &b), 4.0);
-    }
-
-    #[test]
-    fn kernel_mode_labels_and_default() {
-        assert_eq!(KernelMode::default(), KernelMode::Exact);
-        assert!(KernelMode::Exact.is_exact());
-        assert!(!KernelMode::Fast.is_exact());
-        assert!(!KernelMode::RankF32.is_exact());
-        assert_eq!(KernelMode::Exact.name(), "exact");
-        assert_eq!(KernelMode::Fast.name(), "fast");
-        assert_eq!(KernelMode::RankF32.name(), "rank-f32");
+        // Zero-dimensional rows sit at distance 0, in batch as in scalar.
+        let mut out = [1.0; 3];
+        squared_euclidean_batch(&[], &[], 0, &mut out);
+        assert_eq!(out, [0.0; 3]);
     }
 
     #[test]
@@ -898,124 +439,6 @@ mod tests {
             );
         }
 
-        /// Every fast/batch kernel agrees with its scalar twin within 1e-9
-        /// *relative* on adversarial inputs: mixed magnitudes, denormals and
-        /// the dimensionalities the tile loops monomorphize over.
-        #[test]
-        fn fast_and_batch_kernels_match_their_scalar_twins(
-            dim_idx in 0usize..8,
-            rows in 1usize..9,
-            seed in proptest::collection::vec(-1e3f64..1e3, 300),
-        ) {
-            let dim = [1usize, 2, 3, 4, 7, 8, 16, 33][dim_idx];
-            // Turn the uniform seed adversarial deterministically: every 4th
-            // value is rescaled to huge magnitude, every 4th-plus-one down to
-            // denormal-adjacent magnitude, every 4th-plus-two zeroed — so the
-            // summation mixes magnitudes, exact zeros and subnormals.
-            let take = |offset: usize, n: usize| -> Vec<f64> {
-                (0..n)
-                    .map(|i| {
-                        let v = seed[(offset + i) % seed.len()];
-                        match i % 4 {
-                            0 => v * 1e5,
-                            1 => v * 1e-305,
-                            2 => 0.0,
-                            _ => v,
-                        }
-                    })
-                    .collect()
-            };
-            let q = take(0, dim);
-            let block = take(dim, dim * rows);
-            let close = |got: f64, want: f64| -> bool {
-                (got - want).abs() <= 1e-9 * want.abs().max(1.0)
-            };
-
-            for (fast, scalar) in [
-                (squared_euclidean_fast as Kernel, squared_euclidean as Kernel),
-                (manhattan_fast as Kernel, manhattan as Kernel),
-                (euclidean_fast as Kernel, euclidean as Kernel),
-            ] {
-                let row = &block[..dim];
-                prop_assert!(
-                    close(fast(&q, row), scalar(&q, row)),
-                    "fast {} vs scalar {}", fast(&q, row), scalar(&q, row)
-                );
-            }
-            // The max-based kernel is exactly order-insensitive.
-            prop_assert_eq!(
-                chebyshev_fast(&q, &block[..dim]).to_bits(),
-                chebyshev(&q, &block[..dim]).to_bits()
-            );
-
-            let mut out = vec![0.0f64; rows];
-            for (batch, scalar) in [
-                (squared_euclidean_batch as BatchKernel, squared_euclidean as Kernel),
-                (manhattan_batch as BatchKernel, manhattan as Kernel),
-                (chebyshev_batch as BatchKernel, chebyshev as Kernel),
-                (euclidean_batch as BatchKernel, euclidean as Kernel),
-            ] {
-                batch(&q, &block, dim, &mut out);
-                for (i, row) in block.chunks_exact(dim).enumerate() {
-                    prop_assert!(
-                        close(out[i], scalar(&q, row)),
-                        "batch row {i}: {} vs scalar {}", out[i], scalar(&q, row)
-                    );
-                }
-            }
-
-            // Argmin agrees with a scalar first-index-wins argmin.
-            let (got_idx, got_rank) =
-                batch_rank_argmin(&q, &block, dim, squared_euclidean_fast);
-            let mut want_idx = 0;
-            let mut want = f64::INFINITY;
-            for (i, row) in block.chunks_exact(dim).enumerate() {
-                let rank = squared_euclidean_fast(&q, row);
-                if rank < want {
-                    want = rank;
-                    want_idx = i;
-                }
-            }
-            prop_assert_eq!(got_idx, want_idx);
-            prop_assert_eq!(got_rank.to_bits(), want.to_bits());
-        }
-
-        /// The f32 filter kernels track the f64 scalar twin within f32
-        /// round-off on moderate magnitudes (their only job is candidate
-        /// filtering; final distances are refined in f64).
-        #[test]
-        fn f32_batch_kernels_track_the_f64_twins(
-            dim_idx in 0usize..8,
-            rows in 1usize..9,
-            seed in proptest::collection::vec(-1e3f64..1e3, 300),
-        ) {
-            let dim = [1usize, 2, 3, 4, 7, 8, 16, 33][dim_idx];
-            let take = |offset: usize, n: usize| -> Vec<f64> {
-                (0..n).map(|i| seed[(offset + i) % seed.len()]).collect()
-            };
-            let q = take(0, dim);
-            let block = take(dim, dim * rows);
-            let mut q32 = Vec::new();
-            let mut block32 = Vec::new();
-            downcast_coords(&q, &mut q32);
-            downcast_coords(&block, &mut block32);
-            let mut out32 = vec![0.0f32; rows];
-            for (batch32, scalar) in [
-                (squared_euclidean_batch_f32 as BatchKernelF32, squared_euclidean as Kernel),
-                (manhattan_batch_f32 as BatchKernelF32, manhattan as Kernel),
-                (chebyshev_batch_f32 as BatchKernelF32, chebyshev as Kernel),
-            ] {
-                batch32(&q32, &block32, dim, &mut out32);
-                for (i, row) in block.chunks_exact(dim).enumerate() {
-                    let want = scalar(&q, row);
-                    prop_assert!(
-                        (out32[i] as f64 - want).abs() <= 1e-3 * want.abs().max(1.0),
-                        "f32 row {i}: {} vs f64 {}", out32[i], want
-                    );
-                }
-            }
-        }
-
         /// The cadence-16 and unchecked bounded variants keep the bounded
         /// contract: bit-identical to the plain kernel when not cut short,
         /// `≥ bound` otherwise — for every cadence the dimension-aware
@@ -1067,6 +490,69 @@ mod tests {
                 let got = bounded(a, b, exact * frac);
                 if got < exact * frac {
                     prop_assert_eq!(got.to_bits(), exact.to_bits());
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// Every batch kernel is bit-identical to its scalar twin on every
+        /// row, for every metric, every dimensionality in 1..=17 and every
+        /// row count in 0..=19 — whole 8-row blocks and every remainder.
+        /// Each block is checked twice, the second time rotated by one row,
+        /// so every row is also ranked from another offset in its block.
+        #[test]
+        fn batch_kernels_are_bit_identical_to_their_scalar_twins(
+            seed in proptest::collection::vec(-1e3f64..1e3, 400),
+        ) {
+            // Turn the uniform seed adversarial deterministically: mixed
+            // magnitudes, exact zeros and subnormals in one summation.
+            let take = |offset: usize, n: usize| -> Vec<f64> {
+                (0..n)
+                    .map(|i| {
+                        let v = seed[(offset + i) % seed.len()];
+                        match i % 4 {
+                            0 => v * 1e5,
+                            1 => v * 1e-305,
+                            2 => 0.0,
+                            _ => v,
+                        }
+                    })
+                    .collect()
+            };
+            let mut pairs: Vec<(BatchKernel, Kernel)> = [
+                DistanceMetric::Euclidean,
+                DistanceMetric::Manhattan,
+                DistanceMetric::Chebyshev,
+            ]
+            .iter()
+            .map(|m| (m.batch_rank_kernel(), m.rank_kernel()))
+            .collect();
+            pairs.push((euclidean_batch, euclidean));
+            for dim in 1..=17 {
+                let q = take(0, dim);
+                for rows in 0..=19 {
+                    let block = take(dim, dim * rows);
+                    let mut rotated = block.clone();
+                    if rows > 0 {
+                        rotated.rotate_left(dim);
+                    }
+                    let mut out = vec![0.0f64; rows];
+                    let mut out_rotated = vec![0.0f64; rows];
+                    for &(batch, scalar) in &pairs {
+                        batch(&q, &block, dim, &mut out);
+                        batch(&q, &rotated, dim, &mut out_rotated);
+                        for (i, row) in block.chunks_exact(dim).enumerate() {
+                            let want = scalar(&q, row).to_bits();
+                            prop_assert_eq!(out[i].to_bits(), want, "dim {dim} rows {rows} row {i}");
+                            prop_assert_eq!(
+                                out_rotated[(i + rows - 1) % rows].to_bits(),
+                                want,
+                                "dim {dim} rows {rows} row {i} rotated"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -45,7 +45,6 @@ pub mod record;
 pub mod zorder;
 
 pub use coords::CoordMatrix;
-pub use kernels::KernelMode;
 pub use metric::DistanceMetric;
 pub use neighbor::{Neighbor, NeighborList};
 pub use point::{Point, PointId, PointSet};

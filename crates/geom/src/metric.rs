@@ -6,7 +6,7 @@
 //! here; every algorithm in the workspace is parameterised by a
 //! [`DistanceMetric`].
 
-use crate::kernels::{self, BatchKernel, BatchKernelF32, BoundedKernel, Kernel};
+use crate::kernels::{self, BatchKernel, BoundedKernel, Kernel};
 use crate::point::Point;
 
 /// A metric on the `n`-dimensional space `D`.
@@ -93,45 +93,15 @@ impl DistanceMetric {
         }
     }
 
-    /// The multi-accumulator fast kernel computing this metric's true
-    /// distance (the [`crate::kernels::KernelMode::Fast`] pairwise path).
-    /// Agrees with [`DistanceMetric::kernel`] to ~1e-9 relative, not bit for
-    /// bit — see the accumulation-order caveat in [`crate::kernels`].
-    pub fn fast_kernel(&self) -> Kernel {
-        match self {
-            DistanceMetric::Euclidean => kernels::euclidean_fast,
-            DistanceMetric::Manhattan => kernels::manhattan_fast,
-            DistanceMetric::Chebyshev => kernels::chebyshev_fast,
-        }
-    }
-
-    /// The multi-accumulator fast kernel computing this metric's comparison
-    /// rank (squared distance for L2).
-    pub fn fast_rank_kernel(&self) -> Kernel {
-        match self {
-            DistanceMetric::Euclidean => kernels::squared_euclidean_fast,
-            DistanceMetric::Manhattan => kernels::manhattan_fast,
-            DistanceMetric::Chebyshev => kernels::chebyshev_fast,
-        }
-    }
-
-    /// The one-query-vs-many-rows rank kernel streaming a flat coordinate
-    /// tile per call (see [`BatchKernel`]).  Convert the ranks back with
-    /// [`DistanceMetric::ranks_to_distances`].
+    /// The one-query-vs-many-rows twin of [`DistanceMetric::rank_kernel`],
+    /// ranking a flat coordinate block per call (see [`BatchKernel`]); each
+    /// rank is bit-identical to the scalar rank kernel's.  Convert the ranks
+    /// back with [`DistanceMetric::ranks_to_distances`].
     pub fn batch_rank_kernel(&self) -> BatchKernel {
         match self {
             DistanceMetric::Euclidean => kernels::squared_euclidean_batch,
             DistanceMetric::Manhattan => kernels::manhattan_batch,
             DistanceMetric::Chebyshev => kernels::chebyshev_batch,
-        }
-    }
-
-    /// The `f32` batch rank kernel used by the RankF32 candidate filter.
-    pub fn batch_rank_kernel_f32(&self) -> BatchKernelF32 {
-        match self {
-            DistanceMetric::Euclidean => kernels::squared_euclidean_batch_f32,
-            DistanceMetric::Manhattan => kernels::manhattan_batch_f32,
-            DistanceMetric::Chebyshev => kernels::chebyshev_batch_f32,
         }
     }
 
@@ -252,10 +222,10 @@ mod tests {
     }
 
     proptest! {
-        /// The invariant the whole rank path (and the f32 filter built on
-        /// it) leans on: comparing ranks decides exactly like comparing true
-        /// distances.  Strict rank order implies non-decreasing distance
-        /// order (`sqrt` can collapse adjacent ranks onto one distance);
+        /// The invariant the whole rank path leans on: comparing ranks
+        /// decides exactly like comparing true distances.  Strict rank
+        /// order implies non-decreasing distance order (`sqrt` can collapse
+        /// adjacent ranks onto one distance);
         /// strict distance order implies strict rank order; equal ranks map
         /// to bit-equal distances.
         #[test]

@@ -41,6 +41,13 @@ impl Point {
         self.coords[i]
     }
 
+    /// Whether every coordinate is finite (neither NaN nor ±∞).  The
+    /// distance bounds of the paper order distances; a NaN coordinate makes
+    /// every distance to the point unordered, so joins reject such points.
+    pub fn is_finite(&self) -> bool {
+        self.coords.iter().all(|c| c.is_finite())
+    }
+
     /// Returns a copy of this point restricted to the first `dims` dimensions.
     ///
     /// The paper's dimensionality experiment (Figure 10) projects the Forest
@@ -127,6 +134,12 @@ impl PointSet {
             .enumerate()
             .find(|(_, p)| p.dims() != expected)
             .map(|(i, p)| (i, p.dims()))
+    }
+
+    /// Index of the first point with a NaN or infinite coordinate (see
+    /// [`Point::is_finite`]) — `None` when every coordinate is finite.
+    pub fn first_non_finite(&self) -> Option<usize> {
+        self.points.iter().position(|p| !p.is_finite())
     }
 
     /// Immutable access to the underlying points.
@@ -243,6 +256,18 @@ mod tests {
         assert_eq!(PointSet::new().first_dim_mismatch(), None);
         let ragged = PointSet::from_coords(vec![vec![0.0, 1.0], vec![2.0], vec![3.0]]);
         assert_eq!(ragged.first_dim_mismatch(), Some((1, 1)));
+    }
+
+    #[test]
+    fn non_finite_points_are_located() {
+        let finite = PointSet::from_coords(vec![vec![0.0, 1.0], vec![2.0, 3.0]]);
+        assert_eq!(finite.first_non_finite(), None);
+        assert_eq!(PointSet::new().first_non_finite(), None);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let set = PointSet::from_coords(vec![vec![0.0, 1.0], vec![2.0, bad], vec![bad, 0.0]]);
+            assert_eq!(set.first_non_finite(), Some(1));
+            assert!(!set.points()[2].is_finite());
+        }
     }
 
     #[test]

@@ -8,15 +8,13 @@
 //! the shuffle-cost comparisons.  A single job suffices (no merge phase),
 //! since every reducer sees all of `S`.
 
-use crate::algorithms::common::{counters, flat_block_scan, EncodedRecord, TileScratch};
+use crate::algorithms::common::{counters, EncodedRecord};
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::context::ExecutionContext;
-use crate::exact::{shadow_coords, validate_inputs};
+use crate::exact::validate_inputs;
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::{JoinError, JoinResult, JoinRow};
-use geom::{
-    CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointSet, RecordKind,
-};
+use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::time::Instant;
 
@@ -27,8 +25,6 @@ pub struct BroadcastJoinConfig {
     pub reducers: usize,
     /// Number of map tasks.
     pub map_tasks: usize,
-    /// How the reducers evaluate distances (see [`KernelMode`]).
-    pub kernel_mode: KernelMode,
 }
 
 impl Default for BroadcastJoinConfig {
@@ -36,7 +32,6 @@ impl Default for BroadcastJoinConfig {
         Self {
             reducers: 4,
             map_tasks: 8,
-            kernel_mode: KernelMode::default(),
         }
     }
 }
@@ -108,11 +103,7 @@ impl KnnJoinAlgorithm for BroadcastJoin {
                 &BroadcastMapper {
                     reducers: self.config.reducers,
                 },
-                &BroadcastReducer {
-                    k,
-                    metric,
-                    mode: self.config.kernel_mode,
-                },
+                &BroadcastReducer { k, metric },
                 &IdentityPartitioner,
             )
             .map_err(|e| JoinError::substrate("broadcast-join", e))?;
@@ -158,12 +149,10 @@ impl Mapper for BroadcastMapper {
     }
 }
 
-/// Reducer: exhaustive scan of the full `S` for every local `r` — the scalar
-/// loop in `Exact` mode, the tiled batch-kernel scan otherwise.
+/// Reducer: exhaustive scan of the full `S` for every local `r`.
 struct BroadcastReducer {
     k: usize,
     metric: DistanceMetric,
-    mode: KernelMode,
 }
 
 impl Reducer for BroadcastReducer {
@@ -190,28 +179,6 @@ impl Reducer for BroadcastReducer {
         // Flatten S once: the block is scanned |R_block| times, so the
         // columnar layout and hoisted kernel pay for themselves immediately.
         let s_coords = CoordMatrix::from_points(&s_block);
-        if !self.mode.is_exact() {
-            let s_ids: Vec<u64> = s_block.iter().map(|p| p.id).collect();
-            let s_coords32 = shadow_coords(&s_coords, self.mode);
-            let mut scratch = TileScratch::new();
-            for r_obj in &r_block {
-                let (neighbors, counts) = flat_block_scan(
-                    &r_obj.coords,
-                    &s_ids,
-                    &s_coords,
-                    s_coords32.as_deref(),
-                    self.k,
-                    self.metric,
-                    None,
-                    None,
-                    &mut scratch,
-                );
-                ctx.counters()
-                    .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
-                ctx.emit(r_obj.id, neighbors);
-            }
-            return;
-        }
         let kernel = self.metric.kernel();
         for r_obj in &r_block {
             let mut list = NeighborList::new(self.k);
@@ -249,32 +216,6 @@ mod tests {
             "{:?}",
             got.mismatch_against(&exact, 1e-9)
         );
-    }
-
-    #[test]
-    fn fast_and_rank_f32_modes_match_exact_mode() {
-        let r = uniform(120, 4, 40.0, 21);
-        let s = uniform(300, 4, 40.0, 22);
-        for metric in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::Manhattan,
-            DistanceMetric::Chebyshev,
-        ] {
-            let exact = BroadcastJoin::default().join(&r, &s, 5, metric).unwrap();
-            for mode in [KernelMode::Fast, KernelMode::RankF32] {
-                let got = BroadcastJoin::new(BroadcastJoinConfig {
-                    kernel_mode: mode,
-                    ..Default::default()
-                })
-                .join(&r, &s, 5, metric)
-                .unwrap();
-                assert!(
-                    got.matches(&exact, 1e-9),
-                    "{metric:?}/{mode:?}: {:?}",
-                    got.mismatch_against(&exact, 1e-9)
-                );
-            }
-        }
     }
 
     #[test]
@@ -344,8 +285,7 @@ mod tests {
         assert!(matches!(
             BroadcastJoin::new(BroadcastJoinConfig {
                 reducers: 1,
-                map_tasks: 0,
-                ..Default::default()
+                map_tasks: 0
             })
             .join(&r, &s, 2, DistanceMetric::Euclidean)
             .unwrap_err(),
@@ -369,11 +309,7 @@ mod tests {
             let s = uniform(n_s, 2, 40.0, seed ^ 0x31);
             let metric = DistanceMetric::Euclidean;
             let exact = NestedLoopJoin.join(&r, &s, k, metric).unwrap();
-            let got = BroadcastJoin::new(BroadcastJoinConfig {
-                reducers,
-                map_tasks: 2,
-                ..Default::default()
-            })
+            let got = BroadcastJoin::new(BroadcastJoinConfig { reducers, map_tasks: 2 })
                 .join(&r, &s, k, metric)
                 .unwrap();
             prop_assert!(got.matches(&exact, 1e-9));

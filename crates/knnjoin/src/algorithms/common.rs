@@ -7,16 +7,15 @@ use crate::bounds::{bounding_knn_theta, hyperplane_bound, theorem2_window};
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::partition::VoronoiPartitioner;
-use crate::pivots::select_pivots_with_mode;
+use crate::pivots::select_pivots;
 use crate::plan::{Algorithm, JoinPlan};
 use crate::result::JoinRow;
 use crate::summary::{
     build_s_summaries, pivot_distance_matrix, RPartitionSummary, SPartitionSummary, SummaryTables,
 };
-use geom::kernels::PROBE_TILE;
 use geom::{
-    CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId, PointSet,
-    Record, RecordKind,
+    CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointId, PointSet, Record,
+    RecordKind,
 };
 use mapreduce::ByteSize;
 use std::borrow::Borrow;
@@ -336,313 +335,6 @@ pub(crate) fn bounded_knn_scan_delta<P: Borrow<FlatPartition>>(
     (neighbors.into_sorted(), counts)
 }
 
-/// The delta overlay's added points gathered into flat columnar layout so the
-/// `Fast`-mode scans can stream them through the batch kernels instead of
-/// chasing one `BTreeMap` node per add.  Built once per probe (the overlay is
-/// immutable between mutations), iterating `adds()` in its deterministic
-/// ascending-id order.
-#[derive(Debug, Clone)]
-pub(crate) struct DeltaBlock {
-    /// Added ids, parallel to the coordinate rows.
-    pub ids: Vec<PointId>,
-    /// Added coordinates, one row per add.
-    pub coords: CoordMatrix,
-}
-
-impl DeltaBlock {
-    /// Gathers the overlay's adds; `None` when there is nothing to gather.
-    pub(crate) fn from_overlay(overlay: &DeltaOverlay, dims: usize) -> Option<Self> {
-        if overlay.adds_len() == 0 {
-            return None;
-        }
-        let mut ids = Vec::with_capacity(overlay.adds_len());
-        let mut coords = CoordMatrix::new(dims);
-        for (id, row) in overlay.adds() {
-            ids.push(id);
-            coords.push_row(row);
-        }
-        Some(Self { ids, coords })
-    }
-}
-
-/// The `Fast`-mode twin of [`bounded_knn_scan_delta`]: identical bucket-level
-/// pruning (Corollary 1, Theorem 2 window, `θ_i`), but candidates inside a
-/// visited bucket are evaluated through the multi-accumulator *batch* rank
-/// kernels in [`PROBE_TILE`]-row tiles over the contiguous `CoordMatrix`
-/// slice, then converted to true distances in one sweep.
-///
-/// Differences from the exact scan, all answer-preserving:
-/// * tile rows outside the Theorem 2 pivot-distance window may still be
-///   evaluated (the tile is only narrowed to its first/last in-window row) —
-///   extra candidates are *offered* less often but never change the top-k;
-/// * the per-candidate θ-shrink recheck is dropped — it only skips kernels,
-///   never changes which distances reach the accumulator.
-///
-/// Both mean `Fast` counters differ from `Exact` counters (that is the point:
-/// fewer branches, wider loops); results agree within accumulation-order
-/// round-off (≤ 1e-9 relative, pinned by the cross-mode integration tests).
-/// The threshold arithmetic stays in true-distance space throughout — only
-/// the kernel evaluation itself runs in rank space.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn bounded_knn_scan_tiled<P: Borrow<FlatPartition>>(
-    r_obj: &Point,
-    r_pivot_dist: f64,
-    r_partition: usize,
-    s_parts: &BTreeMap<usize, P>,
-    s_order: &[usize],
-    tables: &SummaryTables,
-    theta_i: f64,
-    k: usize,
-    metric: DistanceMetric,
-    delta: Option<&DeltaOverlay>,
-    delta_block: Option<&DeltaBlock>,
-) -> (Vec<Neighbor>, ScanCounts) {
-    let kernel = metric.fast_kernel();
-    let batch = metric.batch_rank_kernel();
-    let dim = r_obj.coords.len();
-    let mut neighbors = NeighborList::new(k);
-    let mut counts = ScanCounts::default();
-    let mut scratch = vec![0.0f64; PROBE_TILE];
-    if let Some(block) = delta_block {
-        let rows = block.coords.as_slice();
-        let mut t0 = 0;
-        while t0 < block.ids.len() {
-            let t1 = (t0 + PROBE_TILE).min(block.ids.len());
-            let m = t1 - t0;
-            batch(
-                &r_obj.coords,
-                &rows[t0 * dim..t1 * dim],
-                dim,
-                &mut scratch[..m],
-            );
-            metric.ranks_to_distances(&mut scratch[..m]);
-            counts.delta += m as u64;
-            for (off, &d) in scratch[..m].iter().enumerate() {
-                neighbors.offer(block.ids[t0 + off], d);
-            }
-            t0 = t1;
-        }
-    }
-    for &j in s_order {
-        let theta = theta_i.min(neighbors.threshold());
-        let pivot_dist = tables.pivot_distance(r_partition, j);
-        let d_r_pj = kernel(&r_obj.coords, &tables.pivots[j].coords);
-        counts.frozen += 1;
-        if j != r_partition
-            && theta.is_finite()
-            && hyperplane_bound(r_pivot_dist, d_r_pj, pivot_dist, metric) > theta
-        {
-            continue;
-        }
-        let summary = &tables.s_summaries[j];
-        let (lo, hi) = theorem2_window(summary.lower, summary.upper, d_r_pj, theta);
-        if lo > hi {
-            continue;
-        }
-        if let Some(s_bucket) = s_parts.get(&j) {
-            let s_bucket = s_bucket.borrow();
-            let rows = s_bucket.coords.as_slice();
-            let in_window = |idx: usize| -> bool {
-                let d = s_bucket.pivot_dists[idx];
-                (lo..=hi).contains(&d)
-            };
-            let mut t0 = 0;
-            while t0 < s_bucket.len() {
-                let t1 = (t0 + PROBE_TILE).min(s_bucket.len());
-                // Narrow the tile to its in-window span; skip it entirely
-                // when no row qualifies.
-                let Some(first) = (t0..t1).find(|&i| in_window(i)) else {
-                    t0 = t1;
-                    continue;
-                };
-                let last = (first..t1).rev().find(|&i| in_window(i)).unwrap_or(first);
-                let m = last + 1 - first;
-                batch(
-                    &r_obj.coords,
-                    &rows[first * dim..(last + 1) * dim],
-                    dim,
-                    &mut scratch[..m],
-                );
-                metric.ranks_to_distances(&mut scratch[..m]);
-                counts.frozen += m as u64;
-                for (off, &d) in scratch[..m].iter().enumerate() {
-                    let idx = first + off;
-                    if !in_window(idx) {
-                        continue;
-                    }
-                    if let Some(overlay) = delta {
-                        if overlay.is_tombstoned(s_bucket.ids[idx]) {
-                            counts.masked += 1;
-                            continue;
-                        }
-                    }
-                    neighbors.offer(s_bucket.ids[idx], d);
-                }
-                t0 = t1;
-            }
-        }
-    }
-    (neighbors.into_sorted(), counts)
-}
-
-/// Reusable per-reducer scratch for the tiled flat-block scans: one rank tile
-/// (`f64`), one filter tile (`f32`) and the downcast query, allocated once
-/// and reused across every probe object the reducer serves.
-#[derive(Debug)]
-pub(crate) struct TileScratch {
-    ranks: Vec<f64>,
-    ranks32: Vec<f32>,
-    q32: Vec<f32>,
-}
-
-impl TileScratch {
-    /// Fresh scratch sized for [`PROBE_TILE`]-row tiles.
-    pub(crate) fn new() -> Self {
-        Self {
-            ranks: vec![0.0; PROBE_TILE],
-            ranks32: vec![0.0; PROBE_TILE],
-            q32: Vec::new(),
-        }
-    }
-}
-
-/// Multiplicative guard applied to the `f32` candidate filter's threshold in
-/// `RankF32` mode: a candidate survives when its `f32` rank is below the
-/// current kth rank inflated by this factor, absorbing the downcast's
-/// round-off so near-threshold neighbours still reach the `f64` refinement.
-/// The mode is approximate by contract (recall is *measured*, not
-/// guaranteed); the guard just keeps misses to genuine f32 resolution loss.
-const RANK_F32_GUARD: f32 = 1.0 + 1e-3;
-
-/// One probe object against a flat `(ids, coords)` block — the `Fast` /
-/// `RankF32` engine behind the exhaustive scanners (NestedLoop, Broadcast and
-/// their prepared twins).  The block is streamed in [`PROBE_TILE`]-row tiles
-/// through the batch rank kernels; the accumulator runs in rank space (rank
-/// order equals distance order for every metric) and the final top-`k` list
-/// is converted to true distances in one monotone sweep at the end.
-///
-/// With `coords32` present the scan runs the `RankF32` filter-then-refine
-/// loop: each tile is ranked in `f32` against the downcast query, and only
-/// candidates whose `f32` rank beats the current kth rank (inflated by
-/// [`RANK_F32_GUARD`]) are re-ranked in `f64`.  Counters then count the `f64`
-/// refinements — the `f32` filter sweep is the thing being saved and is
-/// deliberately not billed as a distance computation.
-///
-/// Delta adds are offered *first* (tightening the threshold before the frozen
-/// block is scanned, mirroring [`bounded_knn_scan_delta`]) and always in
-/// `f64`; tombstoned frozen rows are masked before they can be offered.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn flat_block_scan(
-    query: &[f64],
-    ids: &[PointId],
-    coords: &CoordMatrix,
-    coords32: Option<&[f32]>,
-    k: usize,
-    metric: DistanceMetric,
-    delta: Option<&DeltaOverlay>,
-    delta_block: Option<&DeltaBlock>,
-    scratch: &mut TileScratch,
-) -> (Vec<Neighbor>, ScanCounts) {
-    let dim = coords.dims();
-    let batch = metric.batch_rank_kernel();
-    let mut neighbors = NeighborList::new(k);
-    let mut counts = ScanCounts::default();
-    if let Some(block) = delta_block {
-        let rows = block.coords.as_slice();
-        let mut t0 = 0;
-        while t0 < block.ids.len() {
-            let t1 = (t0 + PROBE_TILE).min(block.ids.len());
-            let m = t1 - t0;
-            batch(
-                query,
-                &rows[t0 * dim..t1 * dim],
-                dim,
-                &mut scratch.ranks[..m],
-            );
-            counts.delta += m as u64;
-            for (off, &rank) in scratch.ranks[..m].iter().enumerate() {
-                neighbors.offer(block.ids[t0 + off], rank);
-            }
-            t0 = t1;
-        }
-    }
-    let rows = coords.as_slice();
-    match coords32 {
-        None => {
-            // `Fast`: rank every row of every tile, mask tombstones on offer.
-            let mut t0 = 0;
-            while t0 < ids.len() {
-                let t1 = (t0 + PROBE_TILE).min(ids.len());
-                let m = t1 - t0;
-                batch(
-                    query,
-                    &rows[t0 * dim..t1 * dim],
-                    dim,
-                    &mut scratch.ranks[..m],
-                );
-                counts.frozen += m as u64;
-                for (off, &rank) in scratch.ranks[..m].iter().enumerate() {
-                    let id = ids[t0 + off];
-                    if let Some(overlay) = delta {
-                        if overlay.is_tombstoned(id) {
-                            counts.masked += 1;
-                            continue;
-                        }
-                    }
-                    neighbors.offer(id, rank);
-                }
-                t0 = t1;
-            }
-        }
-        Some(rows32) => {
-            // `RankF32`: f32 filter sweep, f64 refinement of survivors.
-            let batch32 = metric.batch_rank_kernel_f32();
-            let refine = metric.fast_rank_kernel();
-            scratch.q32.clear();
-            geom::kernels::downcast_coords(query, &mut scratch.q32);
-            let mut t0 = 0;
-            while t0 < ids.len() {
-                let t1 = (t0 + PROBE_TILE).min(ids.len());
-                let m = t1 - t0;
-                batch32(
-                    &scratch.q32,
-                    &rows32[t0 * dim..t1 * dim],
-                    dim,
-                    &mut scratch.ranks32[..m],
-                );
-                let threshold = neighbors.threshold();
-                let cutoff = if threshold.is_finite() {
-                    threshold as f32 * RANK_F32_GUARD
-                } else {
-                    f32::INFINITY
-                };
-                for (off, &rank32) in scratch.ranks32[..m].iter().enumerate() {
-                    if rank32 > cutoff {
-                        continue;
-                    }
-                    let idx = t0 + off;
-                    if let Some(overlay) = delta {
-                        if overlay.is_tombstoned(ids[idx]) {
-                            counts.masked += 1;
-                            continue;
-                        }
-                    }
-                    counts.frozen += 1;
-                    neighbors.offer(ids[idx], refine(query, coords.row(idx)));
-                }
-                t0 = t1;
-            }
-        }
-    }
-    // The accumulator ran in rank space; the monotone rank→distance map
-    // preserves the sorted order, so convert each entry in place.
-    let mut out = neighbors.into_sorted();
-    for n in &mut out {
-        n.distance = metric.rank_to_distance(n.distance);
-    }
-    (out, counts)
-}
-
 // ---------------------------------------------------------------------------
 // Prepared (build/probe) serving support
 // ---------------------------------------------------------------------------
@@ -732,9 +424,6 @@ pub(crate) struct VoronoiServeState {
     /// pivot distance from `p_i` (Algorithm 3 line 14, hoisted out of the
     /// per-query path since it depends only on the pivots).
     pub s_orders: Arc<Vec<Vec<usize>>>,
-    /// How probe scans evaluate distances (`Exact` = the bit-identical
-    /// Algorithm 3 loop; `Fast` / `RankF32` = the tiled batch-kernel scan).
-    pub mode: KernelMode,
     /// The phase the per-batch `θ_i` computation is reported under: the
     /// step of the cold algorithm it stands in for (`partition grouping`
     /// for PGBJ, `index merging` for PBJ), so traced ledgers of the two
@@ -755,20 +444,19 @@ impl VoronoiServeState {
         metrics: &mut JoinMetrics,
     ) -> Self {
         let start = Instant::now();
-        let pivots = select_pivots_with_mode(
+        let pivots = select_pivots(
             calibration_r,
             plan.pivot_count,
             plan.pivot_strategy,
             plan.pivot_sample_size,
             plan.metric,
             plan.seed,
-            plan.kernel_mode,
         );
         metrics.record_phase(phases::PIVOT_SELECTION, start.elapsed());
         metrics.pivot_selections = 1;
         let start = Instant::now();
-        let (metric, mode) = (plan.metric, plan.kernel_mode);
-        let partitioner = Arc::new(VoronoiPartitioner::new_with_mode(pivots, metric, mode));
+        let metric = plan.metric;
+        let partitioner = Arc::new(VoronoiPartitioner::new(pivots, metric));
         let pivots = Arc::new(partitioner.pivots().to_vec());
         let partitioned_s = partitioner.partition(s);
         let s_summaries = Arc::new(build_s_summaries(&partitioned_s, plan.k));
@@ -799,7 +487,6 @@ impl VoronoiServeState {
             s_summaries,
             pivot_distances,
             s_orders,
-            mode,
             bounds_phase: match plan.algorithm {
                 Algorithm::Pbj => phases::INDEX_MERGING,
                 _ => phases::PARTITION_GROUPING,
@@ -851,45 +538,24 @@ impl VoronoiServeState {
             .collect();
         metrics.record_phase(self.bounds_phase, start.elapsed());
 
-        let delta_block = if self.mode.is_exact() {
-            None
-        } else {
-            delta.and_then(|d| DeltaBlock::from_overlay(d, self.partitioner.pivot_matrix().dims()))
-        };
         probe_in_chunks(r, workers, metrics, |first, chunk, counts| {
             chunk
                 .iter()
                 .zip(&assignments[first..])
                 .map(|(r_obj, &(partition, pivot_dist))| {
                     let i = partition as usize;
-                    let (neighbors, scanned) = if self.mode.is_exact() {
-                        bounded_knn_scan_delta(
-                            r_obj,
-                            pivot_dist,
-                            i,
-                            &self.s_parts,
-                            &self.s_orders[i],
-                            &tables,
-                            theta[i],
-                            plan.k,
-                            plan.metric,
-                            delta,
-                        )
-                    } else {
-                        bounded_knn_scan_tiled(
-                            r_obj,
-                            pivot_dist,
-                            i,
-                            &self.s_parts,
-                            &self.s_orders[i],
-                            &tables,
-                            theta[i],
-                            plan.k,
-                            plan.metric,
-                            delta,
-                            delta_block.as_ref(),
-                        )
-                    };
+                    let (neighbors, scanned) = bounded_knn_scan_delta(
+                        r_obj,
+                        pivot_dist,
+                        i,
+                        &self.s_parts,
+                        &self.s_orders[i],
+                        &tables,
+                        theta[i],
+                        plan.k,
+                        plan.metric,
+                        delta,
+                    );
                     *counts += scanned;
                     JoinRow {
                         r_id: r_obj.id,
@@ -986,7 +652,6 @@ impl VoronoiServeState {
             s_summaries: Arc::new(s_summaries),
             pivot_distances: Arc::clone(&self.pivot_distances),
             s_orders,
-            mode: self.mode,
             bounds_phase: self.bounds_phase,
         }
     }

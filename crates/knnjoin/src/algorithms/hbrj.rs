@@ -26,7 +26,7 @@ use crate::delta::DeltaOverlay;
 use crate::exact::validate_inputs;
 use crate::metrics::JoinMetrics;
 use crate::result::{JoinError, JoinResult, JoinRow};
-use geom::{DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointSet, RecordKind};
+use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointSet, RecordKind};
 use mapreduce::{ReduceContext, Reducer};
 use spatial::RTree;
 use std::sync::{Arc, OnceLock};
@@ -45,8 +45,6 @@ pub struct HbrjConfig {
     /// map-side (a top-`k` combiner) before they cross the shuffle.  Enabled
     /// by default.
     pub combiner: bool,
-    /// How the R-tree leaf scans evaluate distances (see [`KernelMode`]).
-    pub kernel_mode: KernelMode,
 }
 
 impl Default for HbrjConfig {
@@ -56,7 +54,6 @@ impl Default for HbrjConfig {
             map_tasks: 8,
             rtree_fanout: RTree::DEFAULT_FANOUT,
             combiner: true,
-            kernel_mode: KernelMode::default(),
         }
     }
 }
@@ -130,7 +127,6 @@ impl KnnJoinAlgorithm for Hbrj {
             k,
             metric,
             fanout: self.config.rtree_fanout,
-            mode: self.config.kernel_mode,
             blocks,
             s_trees: (0..blocks).map(|_| OnceLock::new()).collect(),
         };
@@ -158,7 +154,6 @@ struct HbrjCellReducer {
     k: usize,
     metric: DistanceMetric,
     fanout: usize,
-    mode: KernelMode,
     /// `B`, the number of blocks per dataset; cell `c` joins `S` block
     /// `c % B`.
     blocks: usize,
@@ -199,11 +194,10 @@ impl Reducer for HbrjCellReducer {
         // candidate list so the merge job emits a row for it.
         let tree = s_slot.get_or_init(|| {
             ctx.counters().increment(counters::INDEX_BUILDS);
-            Arc::new(RTree::bulk_load_with_mode(
+            Arc::new(RTree::bulk_load_with_fanout(
                 s_block,
                 self.metric,
                 self.fanout,
-                self.mode,
             ))
         });
         for r_obj in &r_block {
@@ -246,11 +240,10 @@ impl HbrjPrepared {
         let trees = block_points
             .into_iter()
             .map(|block| {
-                Arc::new(RTree::bulk_load_with_mode(
+                Arc::new(RTree::bulk_load_with_fanout(
                     block,
                     plan.metric,
                     plan.rtree_fanout,
-                    plan.kernel_mode,
                 ))
             })
             .collect();
@@ -354,11 +347,10 @@ impl HbrjPrepared {
                 .collect();
             metrics.compacted_points += block.len() as u64;
             metrics.index_builds += 1;
-            trees[b] = Arc::new(RTree::bulk_load_with_mode(
+            trees[b] = Arc::new(RTree::bulk_load_with_fanout(
                 block,
                 plan.metric,
                 plan.rtree_fanout,
-                plan.kernel_mode,
             ));
         }
         Self { trees }
@@ -452,32 +444,6 @@ mod tests {
                 ..Default::default()
             },
         );
-    }
-
-    #[test]
-    fn fast_and_rank_f32_modes_match_exact_mode() {
-        let r = clustered(200, 31);
-        let s = clustered(260, 32);
-        for metric in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::Manhattan,
-            DistanceMetric::Chebyshev,
-        ] {
-            let exact = Hbrj::default().join(&r, &s, 8, metric).unwrap();
-            for mode in [KernelMode::Fast, KernelMode::RankF32] {
-                let got = Hbrj::new(HbrjConfig {
-                    kernel_mode: mode,
-                    ..Default::default()
-                })
-                .join(&r, &s, 8, metric)
-                .unwrap();
-                assert!(
-                    got.matches(&exact, 1e-9),
-                    "{metric:?}/{mode:?}: {:?}",
-                    got.mismatch_against(&exact, 1e-9)
-                );
-            }
-        }
     }
 
     #[test]

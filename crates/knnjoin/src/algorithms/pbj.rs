@@ -11,8 +11,8 @@
 
 use crate::algorithms::blocks::run_block_framework;
 use crate::algorithms::common::{
-    bounded_knn_scan, bounded_knn_scan_tiled, counters, order_s_partitions, split_reducer_records,
-    EncodedRecord, FlatPartition, NeighborListValue,
+    bounded_knn_scan, counters, order_s_partitions, split_reducer_records, EncodedRecord,
+    FlatPartition, NeighborListValue,
 };
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::bounds::upper_bound;
@@ -20,10 +20,10 @@ use crate::context::ExecutionContext;
 use crate::exact::validate_inputs;
 use crate::metrics::{phases, JoinMetrics};
 use crate::partition::VoronoiPartitioner;
-use crate::pivots::{select_pivots_with_mode, PivotSelectionStrategy};
+use crate::pivots::{select_pivots, PivotSelectionStrategy};
 use crate::result::{JoinError, JoinResult};
 use crate::summary::SummaryTables;
-use geom::{DistanceMetric, KernelMode, PointSet, RecordKind};
+use geom::{DistanceMetric, PointSet, RecordKind};
 use mapreduce::{ReduceContext, Reducer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -48,9 +48,6 @@ pub struct PbjConfig {
     pub combiner: bool,
     /// Seed for pivot selection.
     pub seed: u64,
-    /// How distance kernels run (see [`KernelMode`]); `Exact` is the
-    /// bit-identical default.
-    pub kernel_mode: KernelMode,
 }
 
 impl Default for PbjConfig {
@@ -63,7 +60,6 @@ impl Default for PbjConfig {
             map_tasks: 8,
             combiner: true,
             seed: 0xC0FFEE,
-            kernel_mode: KernelMode::default(),
         }
     }
 }
@@ -125,22 +121,20 @@ impl KnnJoinAlgorithm for Pbj {
 
         // ---- Preprocessing: pivot selection --------------------------------
         let start = Instant::now();
-        let pivots = select_pivots_with_mode(
+        let pivots = select_pivots(
             r,
             cfg.pivot_count,
             cfg.pivot_strategy,
             cfg.pivot_sample_size,
             metric,
             cfg.seed,
-            cfg.kernel_mode,
         );
         metrics.record_phase(phases::PIVOT_SELECTION, start.elapsed());
         metrics.pivot_selections = 1;
 
         // ---- Partitioning (first job of the paper, run as a driver-side scan)
         let start = Instant::now();
-        let partitioner =
-            VoronoiPartitioner::new_with_mode(pivots.clone(), metric, cfg.kernel_mode);
+        let partitioner = VoronoiPartitioner::new(pivots.clone(), metric);
         let partitioned_r = partitioner.partition(r);
         let partitioned_s = partitioner.partition(s);
         metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
@@ -179,7 +173,6 @@ impl KnnJoinAlgorithm for Pbj {
             tables: Arc::clone(&tables),
             k,
             metric,
-            mode: cfg.kernel_mode,
         };
         let rows = run_block_framework(
             input,
@@ -204,7 +197,6 @@ struct PbjCellReducer {
     tables: Arc<SummaryTables>,
     k: usize,
     metric: DistanceMetric,
-    mode: KernelMode,
 }
 
 impl PbjCellReducer {
@@ -224,7 +216,7 @@ impl PbjCellReducer {
         if ubs.len() < self.k {
             return f64::INFINITY;
         }
-        ubs.sort_by(|a, b| a.partial_cmp(b).expect("finite bounds"));
+        ubs.sort_by(f64::total_cmp);
         ubs[self.k - 1]
     }
 }
@@ -248,34 +240,17 @@ impl Reducer for PbjCellReducer {
             let s_order = order_s_partitions(&s_parts, i, &self.tables);
             let theta_i = self.local_theta(i, &s_parts);
             for (r_obj, r_pivot_dist) in r_bucket {
-                let (neighbors, computations) = if self.mode.is_exact() {
-                    bounded_knn_scan(
-                        r_obj,
-                        *r_pivot_dist,
-                        i,
-                        &s_parts,
-                        &s_order,
-                        &self.tables,
-                        theta_i,
-                        self.k,
-                        self.metric,
-                    )
-                } else {
-                    let (neighbors, counts) = bounded_knn_scan_tiled(
-                        r_obj,
-                        *r_pivot_dist,
-                        i,
-                        &s_parts,
-                        &s_order,
-                        &self.tables,
-                        theta_i,
-                        self.k,
-                        self.metric,
-                        None,
-                        None,
-                    );
-                    (neighbors, counts.frozen)
-                };
+                let (neighbors, computations) = bounded_knn_scan(
+                    r_obj,
+                    *r_pivot_dist,
+                    i,
+                    &s_parts,
+                    &s_order,
+                    &self.tables,
+                    theta_i,
+                    self.k,
+                    self.metric,
+                );
                 ctx.counters()
                     .add(counters::DISTANCE_COMPUTATIONS, computations);
                 ctx.emit(r_obj.id, NeighborListValue::new(neighbors));

@@ -15,8 +15,7 @@
 //!    runs the bounded nested-loop join of Algorithm 3 over its group.
 
 use crate::algorithms::common::{
-    bounded_knn_scan, bounded_knn_scan_tiled, counters, order_s_partitions, split_reducer_records,
-    EncodedRecord,
+    bounded_knn_scan, counters, order_s_partitions, split_reducer_records, EncodedRecord,
 };
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::bounds::PartitionBounds;
@@ -25,10 +24,10 @@ use crate::exact::validate_inputs;
 use crate::grouping::{build_grouping, GroupingStrategy};
 use crate::metrics::{phases, JoinMetrics};
 use crate::partition::{PartitionedDataset, VoronoiPartitioner};
-use crate::pivots::{select_pivots_with_mode, PivotSelectionStrategy};
+use crate::pivots::{select_pivots, PivotSelectionStrategy};
 use crate::result::{JoinError, JoinResult, JoinRow};
 use crate::summary::SummaryTables;
-use geom::{DistanceMetric, KernelMode, Neighbor, Point, PointSet, RecordKind};
+use geom::{DistanceMetric, Neighbor, Point, PointSet, RecordKind};
 use mapreduce::{
     ByteSize, Combiner, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
 };
@@ -58,9 +57,6 @@ pub struct PgbjConfig {
     pub combiner: bool,
     /// Seed for pivot selection (experiments fix it for reproducibility).
     pub seed: u64,
-    /// How distance kernels run (see [`KernelMode`]); `Exact` is the
-    /// bit-identical default.
-    pub kernel_mode: KernelMode,
 }
 
 impl Default for PgbjConfig {
@@ -74,7 +70,6 @@ impl Default for PgbjConfig {
             map_tasks: 8,
             combiner: true,
             seed: 0xC0FFEE,
-            kernel_mode: KernelMode::default(),
         }
     }
 }
@@ -136,25 +131,20 @@ impl KnnJoinAlgorithm for Pgbj {
 
         // ---- Preprocessing: pivot selection -------------------------------
         let start = Instant::now();
-        let pivots = select_pivots_with_mode(
+        let pivots = select_pivots(
             r,
             cfg.pivot_count,
             cfg.pivot_strategy,
             cfg.pivot_sample_size,
             metric,
             cfg.seed,
-            cfg.kernel_mode,
         );
         metrics.record_phase(phases::PIVOT_SELECTION, start.elapsed());
         metrics.pivot_selections = 1;
 
         // ---- Job 1: Voronoi partitioning of R ∪ S -------------------------
         let start = Instant::now();
-        let partitioner = Arc::new(VoronoiPartitioner::new_with_mode(
-            pivots.clone(),
-            metric,
-            cfg.kernel_mode,
-        ));
+        let partitioner = Arc::new(VoronoiPartitioner::new(pivots.clone(), metric));
         let job1_input = build_job1_input(r, s);
         let job1_builder = JobBuilder::new("pgbj-partition")
             .reducers(cfg.reducers)
@@ -202,7 +192,6 @@ impl KnnJoinAlgorithm for Pgbj {
             theta: Arc::new(bounds.theta.clone()),
             k,
             metric,
-            mode: cfg.kernel_mode,
         };
         let job2 = JobBuilder::new("pgbj-join")
             .reducers(grouping.group_count())
@@ -440,7 +429,6 @@ struct PgbjJoinReducer {
     theta: Arc<Vec<f64>>,
     k: usize,
     metric: DistanceMetric,
-    mode: KernelMode,
 }
 
 impl Reducer for PgbjJoinReducer {
@@ -469,34 +457,17 @@ impl Reducer for PgbjJoinReducer {
             let theta_i = self.theta[i];
 
             for (r_obj, r_pivot_dist) in r_bucket {
-                let (neighbors, computations) = if self.mode.is_exact() {
-                    bounded_knn_scan(
-                        r_obj,
-                        *r_pivot_dist,
-                        i,
-                        &s_parts,
-                        &s_order,
-                        &self.tables,
-                        theta_i,
-                        self.k,
-                        self.metric,
-                    )
-                } else {
-                    let (neighbors, counts) = bounded_knn_scan_tiled(
-                        r_obj,
-                        *r_pivot_dist,
-                        i,
-                        &s_parts,
-                        &s_order,
-                        &self.tables,
-                        theta_i,
-                        self.k,
-                        self.metric,
-                        None,
-                        None,
-                    );
-                    (neighbors, counts.frozen)
-                };
+                let (neighbors, computations) = bounded_knn_scan(
+                    r_obj,
+                    *r_pivot_dist,
+                    i,
+                    &s_parts,
+                    &s_order,
+                    &self.tables,
+                    theta_i,
+                    self.k,
+                    self.metric,
+                );
                 ctx.counters()
                     .add(counters::DISTANCE_COMPUTATIONS, computations);
                 ctx.emit(r_obj.id, neighbors);

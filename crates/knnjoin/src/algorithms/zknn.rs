@@ -44,9 +44,7 @@ use crate::exact::validate_inputs;
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::{JoinError, JoinResult, JoinRow};
 use geom::zorder::{random_shifts, ZQuantizer, ZValue, MAX_Z_BITS};
-use geom::{
-    CoordMatrix, DistanceMetric, KernelMode, NeighborList, Point, PointId, PointSet, RecordKind,
-};
+use geom::{CoordMatrix, DistanceMetric, NeighborList, Point, PointId, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -81,14 +79,6 @@ pub struct ZknnConfig {
     pub combiner: bool,
     /// Seed for the random shift vectors.
     pub seed: u64,
-    /// How the candidate windows evaluate distances.  `Exact` keeps the
-    /// scalar kernel loop; any other mode streams each contiguous z-window
-    /// through the multi-accumulator batch rank kernels (`RankF32` behaves
-    /// like `Fast` here — the windows hold at most `2·z_window·k` rows, too
-    /// few for a separate `f32` filtering pass to pay off).  The candidate
-    /// *sets* are identical in every mode; only the floating-point
-    /// accumulation order differs.
-    pub kernel_mode: KernelMode,
 }
 
 impl Default for ZknnConfig {
@@ -101,7 +91,6 @@ impl Default for ZknnConfig {
             map_tasks: 8,
             combiner: true,
             seed: 0x5EED,
-            kernel_mode: KernelMode::default(),
         }
     }
 }
@@ -206,7 +195,6 @@ impl KnnJoinAlgorithm for Zknn {
                     shared: Arc::clone(&shared),
                     k,
                     metric,
-                    mode: cfg.kernel_mode,
                 },
                 &IdentityPartitioner,
             )
@@ -422,7 +410,6 @@ struct ZSlabReducer {
     shared: Arc<ZknnShared>,
     k: usize,
     metric: DistanceMetric,
-    mode: KernelMode,
 }
 
 impl Reducer for ZSlabReducer {
@@ -461,8 +448,6 @@ impl Reducer for ZSlabReducer {
         for (_, p) in &s_block {
             s_coords.push_row(&p.coords);
         }
-        let kernel = self.metric.kernel();
-        let batch = self.metric.batch_rank_kernel();
         let dims = self.shared.quantizer.dims();
         // Scratch for the batched window evaluation: at most 2·window rows.
         let mut ranks: Vec<f64> = Vec::new();
@@ -474,33 +459,41 @@ impl Reducer for ZSlabReducer {
             let lo = pos.saturating_sub(window);
             let hi = (pos + window).min(s_z.len());
             let mut list = NeighborList::new(self.k);
-            if self.mode.is_exact() {
-                for (idx, id) in s_ids.iter().enumerate().take(hi).skip(lo) {
-                    list.offer(*id, kernel(&r_obj.coords, s_coords.row(idx)));
-                }
-            } else {
-                // The window is one contiguous run of sorted-S rows: a single
-                // batch call covers it, and the monotone rank→distance map
-                // restores true distances before the bounded offer.
-                let m = hi - lo;
-                if ranks.len() < m {
-                    ranks.resize(m, 0.0);
-                }
-                batch(
-                    &r_obj.coords,
-                    &s_coords.as_slice()[lo * dims..hi * dims],
-                    dims,
-                    &mut ranks[..m],
-                );
-                self.metric.ranks_to_distances(&mut ranks[..m]);
-                for (off, id) in s_ids[lo..hi].iter().enumerate() {
-                    list.offer(*id, ranks[off]);
-                }
-            }
+            offer_window(
+                self.metric,
+                &r_obj.coords,
+                &s_ids[lo..hi],
+                &s_coords.as_slice()[lo * dims..hi * dims],
+                &mut ranks,
+                &mut list,
+            );
             ctx.counters()
                 .add(counters::DISTANCE_COMPUTATIONS, (hi - lo) as u64);
             ctx.emit(r_obj.id, NeighborListValue::new(list.into_sorted()));
         }
+    }
+}
+
+/// Offers one candidate z-window — `ids.len()` contiguous rows `rows` of the
+/// `(z, id)`-sorted `S` — to `list`.  A single batch call ranks the whole
+/// window, and the rank→distance map restores true distances bit-identical
+/// to the scalar kernel's; `ranks` is scratch reused across windows.
+fn offer_window(
+    metric: DistanceMetric,
+    query: &[f64],
+    ids: &[PointId],
+    rows: &[f64],
+    ranks: &mut Vec<f64>,
+    list: &mut NeighborList,
+) {
+    let m = ids.len();
+    if ranks.len() < m {
+        ranks.resize(m, 0.0);
+    }
+    (metric.batch_rank_kernel())(query, rows, query.len(), &mut ranks[..m]);
+    metric.ranks_to_distances(&mut ranks[..m]);
+    for (&id, &d) in ids.iter().zip(&ranks[..m]) {
+        list.offer(id, d);
     }
 }
 
@@ -599,10 +592,6 @@ pub(crate) struct ZknnPrepared {
     /// Candidate z-neighbours per side: `z_window · k`.
     window: usize,
     copies: Vec<SortedCopy>,
-    /// The plan's [`KernelMode`], fixed at prepare time (see
-    /// [`ZknnConfig::kernel_mode`] for the `RankF32`-behaves-as-`Fast`
-    /// caveat).
-    mode: KernelMode,
 }
 
 impl ZknnPrepared {
@@ -650,7 +639,6 @@ impl ZknnPrepared {
             shifts,
             window: plan.z_window.saturating_mul(plan.k),
             copies,
-            mode: plan.kernel_mode,
         }
     }
 
@@ -680,14 +668,8 @@ impl ZknnPrepared {
             )
         });
         // The delta-merged windows interleave frozen and add rows, so they
-        // stay pairwise; in a non-exact mode they use the fast (reassociated)
-        // scalar kernel to match the batch kernels' accumulation style.
-        let kernel = if self.mode.is_exact() {
-            plan.metric.kernel()
-        } else {
-            plan.metric.fast_kernel()
-        };
-        let batch = plan.metric.batch_rank_kernel();
+        // stay pairwise.
+        let kernel = plan.metric.kernel();
         let dims = self.quantizer.dims();
         probe_in_chunks(r, workers, metrics, |_, chunk, counts| {
             let mut ranks: Vec<f64> = Vec::new();
@@ -702,31 +684,14 @@ impl ZknnPrepared {
                             let pos = copy.z.partition_point(|z| *z < z_r);
                             let lo = pos.saturating_sub(self.window);
                             let hi = (pos + self.window).min(copy.z.len());
-                            if self.mode.is_exact() {
-                                for idx in lo..hi {
-                                    list.offer(
-                                        copy.ids[idx],
-                                        kernel(&r_obj.coords, copy.coords.row(idx)),
-                                    );
-                                }
-                            } else {
-                                // One contiguous run of sorted-S rows: a single
-                                // batch call plus the monotone rank→distance map.
-                                let m = hi - lo;
-                                if ranks.len() < m {
-                                    ranks.resize(m, 0.0);
-                                }
-                                batch(
-                                    &r_obj.coords,
-                                    &copy.coords.as_slice()[lo * dims..hi * dims],
-                                    dims,
-                                    &mut ranks[..m],
-                                );
-                                plan.metric.ranks_to_distances(&mut ranks[..m]);
-                                for (off, rank) in ranks[..m].iter().enumerate() {
-                                    list.offer(copy.ids[lo + off], *rank);
-                                }
-                            }
+                            offer_window(
+                                plan.metric,
+                                &r_obj.coords,
+                                &copy.ids[lo..hi],
+                                &copy.coords.as_slice()[lo * dims..hi * dims],
+                                &mut ranks,
+                                &mut list,
+                            );
                             counts.frozen += (hi - lo) as u64;
                         }
                         Some((overlay, add_copies)) => {
@@ -875,7 +840,6 @@ impl ZknnPrepared {
             shifts: self.shifts.clone(),
             window: self.window,
             copies,
-            mode: self.mode,
         }
     }
 }
@@ -1044,39 +1008,6 @@ mod tests {
             .phase_times
             .iter()
             .any(|(n, _)| n == phases::RESULT_MERGING));
-    }
-
-    #[test]
-    fn fast_and_rank_f32_modes_match_the_exact_mode_run() {
-        // The candidate windows are mode-independent (same z-order, same
-        // cuts), so a Fast/RankF32 run must reproduce the Exact-mode run's
-        // rows — only the accumulation order of each distance differs.
-        let r = clustered(180, 3, 41);
-        let s = clustered(220, 3, 42);
-        for metric in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::Manhattan,
-            DistanceMetric::Chebyshev,
-        ] {
-            let exact = Zknn::default().join(&r, &s, 6, metric).unwrap();
-            for mode in [KernelMode::Fast, KernelMode::RankF32] {
-                let got = Zknn::new(ZknnConfig {
-                    kernel_mode: mode,
-                    ..Default::default()
-                })
-                .join(&r, &s, 6, metric)
-                .unwrap();
-                assert!(
-                    got.matches(&exact, 1e-9),
-                    "{metric:?}/{mode:?}: {:?}",
-                    got.mismatch_against(&exact, 1e-9)
-                );
-                assert_eq!(
-                    got.metrics.distance_computations, exact.metrics.distance_computations,
-                    "{metric:?}/{mode:?}: candidate windows must be mode-independent"
-                );
-            }
-        }
     }
 
     #[test]

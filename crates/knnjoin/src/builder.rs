@@ -26,11 +26,12 @@
 //! with the dataset (2000–8000 pivots for multi-million-object inputs).
 
 use crate::context::ExecutionContext;
+use crate::exact::validate_inputs;
 use crate::grouping::GroupingStrategy;
 use crate::pivots::PivotSelectionStrategy;
 use crate::plan::{Algorithm, JoinPlan, DEFAULT_DELTA_THRESHOLD};
 use crate::result::{JoinError, JoinResult};
-use geom::{DistanceMetric, KernelMode, PointSet};
+use geom::{DistanceMetric, PointSet};
 use spatial::RTree;
 
 /// Default number of reducers when the caller does not choose one.
@@ -61,7 +62,6 @@ pub struct JoinBuilder<'a> {
     combiner: bool,
     seed: u64,
     delta_threshold: usize,
-    kernel_mode: KernelMode,
 }
 
 impl<'a> JoinBuilder<'a> {
@@ -88,7 +88,6 @@ impl<'a> JoinBuilder<'a> {
             combiner: defaults.combiner,
             seed: defaults.seed,
             delta_threshold: DEFAULT_DELTA_THRESHOLD,
-            kernel_mode: defaults.kernel_mode,
         }
     }
 
@@ -207,56 +206,18 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Selects how the distance hot loops evaluate kernels (default
-    /// [`KernelMode::Exact`], which preserves the scalar loops bit for bit).
-    /// [`KernelMode::Fast`] streams candidates through the multi-accumulator
-    /// batch kernels — same neighbours within accumulation-order round-off —
-    /// and [`KernelMode::RankF32`] additionally filters candidates in `f32`
-    /// before refining the survivors in `f64`.
-    pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = mode;
-        self
-    }
-
     /// Validates the request and resolves every unset knob, producing the
     /// concrete [`JoinPlan`] that [`JoinBuilder::run`] would execute.
     ///
     /// # Errors
     /// Returns a typed [`JoinError`] describing the first problem found:
     /// [`JoinError::InvalidK`], [`JoinError::EmptyInput`],
-    /// [`JoinError::DimensionalityMismatch`],
+    /// [`JoinError::RaggedInput`], [`JoinError::DimensionalityMismatch`],
+    /// [`JoinError::NonFiniteCoordinate`],
     /// [`JoinError::PivotCountOutOfRange`], [`JoinError::ZeroReducers`],
     /// [`JoinError::ZeroMapTasks`] or [`JoinError::InvalidConfig`].
     pub fn plan(&self) -> Result<JoinPlan, JoinError> {
-        if self.k == 0 {
-            return Err(JoinError::InvalidK);
-        }
-        if self.r.is_empty() {
-            return Err(JoinError::EmptyInput("R"));
-        }
-        if self.s.is_empty() {
-            return Err(JoinError::EmptyInput("S"));
-        }
-        // Intra-set raggedness is caught before the cross-set comparison: the
-        // distance kernels only `debug_assert` slice lengths, so a ragged set
-        // slipping past planning would index-panic (or silently truncate
-        // coordinates) in release builds.
-        for (name, set) in [("R", self.r), ("S", self.s)] {
-            if let Some((index, dims)) = set.first_dim_mismatch() {
-                return Err(JoinError::RaggedInput {
-                    dataset: name,
-                    index,
-                    dims,
-                    expected: set.dims(),
-                });
-            }
-        }
-        if self.r.dims() != self.s.dims() {
-            return Err(JoinError::DimensionalityMismatch {
-                r_dims: self.r.dims(),
-                s_dims: self.s.dims(),
-            });
-        }
+        validate_inputs(self.r, self.s, self.k)?;
 
         if self.pivot_sample_size == 0 {
             return Err(JoinError::InvalidConfig(
@@ -360,7 +321,6 @@ impl<'a> JoinBuilder<'a> {
             combiner: self.combiner,
             seed: self.seed,
             delta_threshold: self.delta_threshold,
-            kernel_mode: self.kernel_mode,
         })
     }
 
@@ -612,22 +572,6 @@ mod tests {
             .plan()
             .unwrap_err();
         assert!(matches!(err, JoinError::InvalidConfig(_)), "{err}");
-    }
-
-    #[test]
-    fn kernel_mode_resolves_into_the_plan_and_defaults_to_exact() {
-        use geom::KernelMode;
-        let r = uniform(30, 2, 10.0, 31);
-        let plan = JoinBuilder::new(&r, &r).k(2).plan().unwrap();
-        assert_eq!(plan.kernel_mode, KernelMode::Exact);
-        for mode in [KernelMode::Fast, KernelMode::RankF32] {
-            let plan = JoinBuilder::new(&r, &r)
-                .k(2)
-                .kernel_mode(mode)
-                .plan()
-                .unwrap();
-            assert_eq!(plan.kernel_mode, mode);
-        }
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! distance computations.  It is used by tests and benchmarks as ground truth
 //! and as the centralized baseline that motivates distributing the join.
 
-use crate::algorithms::common::{flat_block_scan, probe_in_chunks, DeltaBlock, TileScratch};
+use crate::algorithms::common::probe_in_chunks;
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult, JoinRow};
-use geom::{CoordMatrix, DistanceMetric, KernelMode, NeighborList, PointSet};
+use geom::{CoordMatrix, DistanceMetric, NeighborList, Point, PointSet};
 use std::time::Instant;
 
 /// The exact nested-loop kNN join.
@@ -21,8 +21,8 @@ impl NestedLoopJoin {
     /// Computes `R ⋉ S` exactly.
     ///
     /// # Errors
-    /// Returns [`JoinError`] if `k` is zero, an input is empty or the
-    /// dimensionalities differ.
+    /// Returns [`JoinError`] if `k` is zero, an input is empty or ragged,
+    /// the dimensionalities differ or a coordinate is NaN or infinite.
     pub fn join(
         &self,
         r: &PointSet,
@@ -60,76 +60,6 @@ impl NestedLoopJoin {
         result.normalize();
         Ok(result)
     }
-
-    /// [`Self::join`] with an explicit [`KernelMode`].  `Exact` is the
-    /// untouched scalar loop above; `Fast` streams `S` through the tiled
-    /// batch rank kernels; `RankF32` additionally filters each tile in `f32`
-    /// and refines only the survivors in `f64` (so its
-    /// `distance_computations` counter reflects the refinements alone).
-    ///
-    /// # Errors
-    /// Same contract as [`Self::join`].
-    pub fn join_with_mode(
-        &self,
-        r: &PointSet,
-        s: &PointSet,
-        k: usize,
-        metric: DistanceMetric,
-        mode: KernelMode,
-    ) -> Result<JoinResult, JoinError> {
-        if mode.is_exact() {
-            return self.join(r, s, k, metric);
-        }
-        validate_inputs(r, s, k)?;
-        let start = Instant::now();
-        let s_coords = CoordMatrix::from_point_set(s);
-        let s_ids: Vec<u64> = s.iter().map(|p| p.id).collect();
-        let s_coords32 = shadow_coords(&s_coords, mode);
-        let mut scratch = TileScratch::new();
-        let mut rows = Vec::with_capacity(r.len());
-        let mut computations = 0u64;
-        for r_obj in r {
-            let (neighbors, counts) = flat_block_scan(
-                &r_obj.coords,
-                &s_ids,
-                &s_coords,
-                s_coords32.as_deref(),
-                k,
-                metric,
-                None,
-                None,
-                &mut scratch,
-            );
-            computations += counts.frozen;
-            rows.push(JoinRow {
-                r_id: r_obj.id,
-                neighbors,
-            });
-        }
-        let mut metrics = JoinMetrics {
-            distance_computations: computations,
-            r_size: r.len(),
-            s_size: s.len(),
-            ..Default::default()
-        };
-        metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-        let mut result = JoinResult { rows, metrics };
-        result.normalize();
-        Ok(result)
-    }
-}
-
-/// The `f32` shadow copy of a flat block, built only when `mode` is
-/// [`KernelMode::RankF32`] (the other modes never read it).
-pub(crate) fn shadow_coords(coords: &CoordMatrix, mode: KernelMode) -> Option<Vec<f32>> {
-    match mode {
-        KernelMode::RankF32 => {
-            let mut shadow = Vec::with_capacity(coords.as_slice().len());
-            geom::kernels::downcast_coords(coords.as_slice(), &mut shadow);
-            Some(shadow)
-        }
-        KernelMode::Exact | KernelMode::Fast => None,
-    }
 }
 
 /// The prepared state of the exhaustive scanners, nested loop and
@@ -141,22 +71,15 @@ pub(crate) fn shadow_coords(coords: &CoordMatrix, mode: KernelMode) -> Option<Ve
 pub(crate) struct FlatPrepared {
     ids: Vec<u64>,
     coords: CoordMatrix,
-    /// `f32` shadow of `coords`, present only in `RankF32` mode.
-    coords32: Option<Vec<f32>>,
-    mode: KernelMode,
 }
 
 impl FlatPrepared {
-    /// Flattens `S` (and downcasts the `f32` shadow when `mode` wants one).
-    pub(crate) fn build(s: &PointSet, mode: KernelMode, metrics: &mut JoinMetrics) -> Self {
+    /// Flattens `S`.
+    pub(crate) fn build(s: &PointSet, metrics: &mut JoinMetrics) -> Self {
         let start = Instant::now();
-        let coords = CoordMatrix::from_point_set(s);
-        let coords32 = shadow_coords(&coords, mode);
         let prepared = Self {
             ids: s.iter().map(|p| p.id).collect(),
-            coords,
-            coords32,
-            mode,
+            coords: CoordMatrix::from_point_set(s),
         };
         metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
         prepared
@@ -173,33 +96,6 @@ impl FlatPrepared {
         metrics: &mut JoinMetrics,
     ) -> Vec<JoinRow> {
         let (k, metric) = (plan.k, plan.metric);
-        if !self.mode.is_exact() {
-            let delta_block = delta.and_then(|d| DeltaBlock::from_overlay(d, self.coords.dims()));
-            return probe_in_chunks(r, workers, metrics, |_, chunk, counts| {
-                let mut scratch = TileScratch::new();
-                chunk
-                    .iter()
-                    .map(|r_obj| {
-                        let (neighbors, scanned) = flat_block_scan(
-                            &r_obj.coords,
-                            &self.ids,
-                            &self.coords,
-                            self.coords32.as_deref(),
-                            k,
-                            metric,
-                            delta,
-                            delta_block.as_ref(),
-                            &mut scratch,
-                        );
-                        *counts += scanned;
-                        JoinRow {
-                            r_id: r_obj.id,
-                            neighbors,
-                        }
-                    })
-                    .collect()
-            });
-        }
         let kernel = metric.kernel();
         probe_in_chunks(r, workers, metrics, |_, chunk, counts| {
             chunk
@@ -230,10 +126,10 @@ impl FlatPrepared {
     /// Re-flattens the materialized corpus (frozen survivors in arrival
     /// order, then adds in ascending id order — the canonical
     /// materialization order, so the compacted scan is bit-identical to a
-    /// cold build over the same corpus), keeping this epoch's kernel mode.
+    /// cold build over the same corpus).
     pub(crate) fn compact(&self, materialized: &PointSet, metrics: &mut JoinMetrics) -> Self {
         metrics.compacted_points += materialized.len() as u64;
-        Self::build(materialized, self.mode, metrics)
+        Self::build(materialized, metrics)
     }
 }
 
@@ -252,21 +148,54 @@ pub(crate) fn validate_inputs(r: &PointSet, s: &PointSet, k: usize) -> Result<()
     // kernels only `debug_assert` slice lengths, so a ragged set that happens
     // to share its first point's dims with the other set would otherwise
     // reach them.
-    for (name, set) in [("R", r), ("S", s)] {
-        if let Some((index, dims)) = set.first_dim_mismatch() {
-            return Err(JoinError::RaggedInput {
-                dataset: name,
-                index,
-                dims,
-                expected: set.dims(),
-            });
-        }
+    check_set(r, "R")?;
+    check_set(s, "S")?;
+    check_dims(r.dims(), s.dims())
+}
+
+/// Validation of a probe batch against a prepared corpus of `s_dims`
+/// dimensions, shared by every `PreparedJoin::query*` and `Server::submit`.
+pub(crate) fn validate_probe(r: &PointSet, s_dims: usize) -> Result<(), JoinError> {
+    if r.is_empty() {
+        return Err(JoinError::EmptyInput("R"));
     }
-    if r.dims() != s.dims() {
-        return Err(JoinError::DimensionalityMismatch {
-            r_dims: r.dims(),
-            s_dims: s.dims(),
+    check_set(r, "R")?;
+    check_dims(r.dims(), s_dims)
+}
+
+/// Validation of one point joining `dataset` (`"R"` for a single-point
+/// query, `"S"` for an insert) of a corpus of `s_dims` dimensions.
+pub(crate) fn validate_point(
+    point: &Point,
+    dataset: &'static str,
+    s_dims: usize,
+) -> Result<(), JoinError> {
+    check_dims(point.dims(), s_dims)?;
+    if !point.is_finite() {
+        return Err(JoinError::NonFiniteCoordinate { dataset, index: 0 });
+    }
+    Ok(())
+}
+
+/// Rejects a ragged set, or one holding a NaN or infinite coordinate.
+fn check_set(set: &PointSet, dataset: &'static str) -> Result<(), JoinError> {
+    if let Some((index, dims)) = set.first_dim_mismatch() {
+        return Err(JoinError::RaggedInput {
+            dataset,
+            index,
+            dims,
+            expected: set.dims(),
         });
+    }
+    match set.first_non_finite() {
+        Some(index) => Err(JoinError::NonFiniteCoordinate { dataset, index }),
+        None => Ok(()),
+    }
+}
+
+fn check_dims(r_dims: usize, s_dims: usize) -> Result<(), JoinError> {
+    if r_dims != s_dims {
+        return Err(JoinError::DimensionalityMismatch { r_dims, s_dims });
     }
     Ok(())
 }
@@ -275,7 +204,6 @@ pub(crate) fn validate_inputs(r: &PointSet, s: &PointSet, k: usize) -> Result<()
 mod tests {
     use super::*;
     use datagen::uniform;
-    use geom::Point;
 
     #[test]
     fn small_hand_checked_example() {
@@ -386,49 +314,6 @@ mod tests {
                 expected: 2
             }
         );
-    }
-
-    #[test]
-    fn fast_and_rank_f32_modes_match_the_scalar_loop() {
-        let r = uniform(60, 5, 25.0, 11);
-        let s = uniform(700, 5, 25.0, 12);
-        for metric in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::Manhattan,
-            DistanceMetric::Chebyshev,
-        ] {
-            let exact = NestedLoopJoin.join(&r, &s, 6, metric).unwrap();
-            let fast = NestedLoopJoin
-                .join_with_mode(&r, &s, 6, metric, KernelMode::Fast)
-                .unwrap();
-            assert!(
-                fast.matches(&exact, 1e-9),
-                "{metric:?}: {:?}",
-                fast.mismatch_against(&exact, 1e-9)
-            );
-            // Fast ranks every row, so the counter still bills |R|·|S|.
-            assert_eq!(fast.metrics.distance_computations, 60 * 700);
-            let rank32 = NestedLoopJoin
-                .join_with_mode(&r, &s, 6, metric, KernelMode::RankF32)
-                .unwrap();
-            // Uniform data is nowhere near f32 resolution, so the filter
-            // keeps every true neighbour and the f64 refinement makes the
-            // reported distances exact.
-            assert!(
-                rank32.matches(&exact, 1e-9),
-                "{metric:?}: {:?}",
-                rank32.mismatch_against(&exact, 1e-9)
-            );
-            // The f32 filter's whole point: far fewer f64 kernel calls.
-            assert!(rank32.metrics.distance_computations < fast.metrics.distance_computations / 2);
-        }
-        let exact_via_mode = NestedLoopJoin
-            .join_with_mode(&r, &s, 6, DistanceMetric::Euclidean, KernelMode::Exact)
-            .unwrap();
-        let exact = NestedLoopJoin
-            .join(&r, &s, 6, DistanceMetric::Euclidean)
-            .unwrap();
-        assert!(exact_via_mode.matches(&exact, 0.0));
     }
 
     #[test]

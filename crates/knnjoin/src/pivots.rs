@@ -11,7 +11,7 @@
 //! * **k-means selection** — run k-means on a sample and use the cluster
 //!   centroids (which need not be dataset objects) as pivots.
 
-use geom::{CoordMatrix, DistanceMetric, KernelMode, Point, PointSet};
+use geom::{CoordMatrix, DistanceMetric, Point, PointSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -73,32 +73,6 @@ pub fn select_pivots(
     metric: DistanceMetric,
     seed: u64,
 ) -> Vec<Point> {
-    select_pivots_with_mode(
-        r,
-        count,
-        strategy,
-        sample_size,
-        metric,
-        seed,
-        KernelMode::Exact,
-    )
-}
-
-/// [`select_pivots`] with an explicit [`KernelMode`].  Only the k-means
-/// strategy has a distance hot loop worth switching: in `Fast` / `RankF32`
-/// mode its assignment step runs the batched multi-accumulator argmin over
-/// the flat centre matrix instead of the per-centre early-exit scan.  The
-/// `Exact` path is bit-identical to [`select_pivots`].
-#[allow(clippy::too_many_arguments)]
-pub fn select_pivots_with_mode(
-    r: &PointSet,
-    count: usize,
-    strategy: PivotSelectionStrategy,
-    sample_size: usize,
-    metric: DistanceMetric,
-    seed: u64,
-    mode: KernelMode,
-) -> Vec<Point> {
     assert!(count > 0, "pivot count must be positive");
     assert!(!r.is_empty(), "cannot select pivots from an empty dataset");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -112,7 +86,7 @@ pub fn select_pivots_with_mode(
         }
         PivotSelectionStrategy::Farthest => farthest_selection(&sample, count, metric, &mut rng),
         PivotSelectionStrategy::KMeans { iterations } => {
-            kmeans_selection(&sample, count, iterations.max(1), metric, &mut rng, mode)
+            kmeans_selection(&sample, count, iterations.max(1), metric, &mut rng)
         }
     };
 
@@ -202,7 +176,6 @@ fn kmeans_selection(
     iterations: usize,
     metric: DistanceMetric,
     rng: &mut StdRng,
-    mode: KernelMode,
 ) -> Vec<Point> {
     let dims = sample[0].dims();
     let flat_sample = CoordMatrix::from_points(sample);
@@ -216,17 +189,10 @@ fn kmeans_selection(
     // Dimension-aware cadence: for tiny dims the early-exit check costs more
     // than it saves, so the bounded kernel degenerates to the plain one.
     let rank_bounded = metric.rank_kernel_bounded_for_dim(dims);
-    let fast_rank = metric.fast_rank_kernel();
     let mut assignment = vec![0usize; sample.len()];
     for _ in 0..iterations {
         // Assignment step: first-index-wins argmin in rank space.
         for (i, row) in flat_sample.rows().enumerate() {
-            if !mode.is_exact() {
-                let (best, _) =
-                    geom::kernels::batch_rank_argmin(row, centers.as_slice(), dims, fast_rank);
-                assignment[i] = best;
-                continue;
-            }
             let mut best = 0;
             let mut best_rank = rank_full(row, centers.row(0));
             for c in 1..centers.len() {
@@ -390,44 +356,6 @@ mod tests {
                 assert!(p.coords[d] >= lo - 1e-9 && p.coords[d] <= hi + 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn fast_mode_kmeans_is_deterministic_and_sized() {
-        let r = dataset(300);
-        let strategy = PivotSelectionStrategy::KMeans { iterations: 5 };
-        let a = select_pivots_with_mode(
-            &r,
-            8,
-            strategy,
-            150,
-            DistanceMetric::Euclidean,
-            11,
-            KernelMode::Fast,
-        );
-        let b = select_pivots_with_mode(
-            &r,
-            8,
-            strategy,
-            150,
-            DistanceMetric::Euclidean,
-            11,
-            KernelMode::Fast,
-        );
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 8);
-        // Exact mode through the mode-aware entry point is the plain path.
-        let exact = select_pivots_with_mode(
-            &r,
-            8,
-            strategy,
-            150,
-            DistanceMetric::Euclidean,
-            11,
-            KernelMode::Exact,
-        );
-        let plain = select_pivots(&r, 8, strategy, 150, DistanceMetric::Euclidean, 11);
-        assert_eq!(exact, plain);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::exact::NestedLoopJoin;
 use crate::grouping::GroupingStrategy;
 use crate::pivots::PivotSelectionStrategy;
 use crate::result::{JoinError, JoinResult};
-use geom::{DistanceMetric, KernelMode, PointSet};
+use geom::{DistanceMetric, PointSet};
 use spatial::RTree;
 
 /// The join algorithms selectable at runtime.
@@ -146,12 +146,6 @@ pub struct JoinPlan {
     /// [`crate::PreparedJoin`] before a mutation triggers an automatic
     /// compaction (see [`crate::delta`]).  Irrelevant to cold joins.
     pub delta_threshold: usize,
-    /// How the distance hot loops evaluate kernels: `Exact` (the default)
-    /// preserves the scalar loops bit for bit; `Fast` streams candidates
-    /// through the multi-accumulator batch kernels; `RankF32` additionally
-    /// filters candidates in `f32` before refining survivors in `f64` (see
-    /// [`KernelMode`]).
-    pub kernel_mode: KernelMode,
 }
 
 /// Default [`JoinPlan::delta_threshold`]: mutations beyond this many pending
@@ -172,7 +166,6 @@ impl JoinPlan {
                 map_tasks: self.map_tasks,
                 combiner: self.combiner,
                 seed: self.seed,
-                kernel_mode: self.kernel_mode,
             })),
             Algorithm::Pbj => Box::new(Pbj::new(PbjConfig {
                 pivot_count: self.pivot_count,
@@ -182,14 +175,12 @@ impl JoinPlan {
                 map_tasks: self.map_tasks,
                 combiner: self.combiner,
                 seed: self.seed,
-                kernel_mode: self.kernel_mode,
             })),
             Algorithm::Hbrj => Box::new(Hbrj::new(HbrjConfig {
                 reducers: self.reducers,
                 map_tasks: self.map_tasks,
                 rtree_fanout: self.rtree_fanout,
                 combiner: self.combiner,
-                kernel_mode: self.kernel_mode,
             })),
             Algorithm::Zknn => Box::new(Zknn::new(ZknnConfig {
                 shift_copies: self.shift_copies,
@@ -199,12 +190,10 @@ impl JoinPlan {
                 map_tasks: self.map_tasks,
                 combiner: self.combiner,
                 seed: self.seed,
-                kernel_mode: self.kernel_mode,
             })),
             Algorithm::BroadcastJoin => Box::new(BroadcastJoin::new(BroadcastJoinConfig {
                 reducers: self.reducers,
                 map_tasks: self.map_tasks,
-                kernel_mode: self.kernel_mode,
             })),
             Algorithm::NestedLoopJoin => Box::new(NestedLoopJoin),
         }
@@ -218,14 +207,9 @@ impl JoinPlan {
         s: &PointSet,
         ctx: &ExecutionContext,
     ) -> Result<JoinResult, JoinError> {
-        // The nested-loop oracle is a unit struct (no config to carry the
-        // knob through `instantiate`), so its mode dispatch lives here.
-        let result = if self.algorithm == Algorithm::NestedLoopJoin {
-            NestedLoopJoin.join_with_mode(r, s, self.k, self.metric, self.kernel_mode)?
-        } else {
-            self.instantiate()
-                .join_with(r, s, self.k, self.metric, ctx)?
-        };
+        let result = self
+            .instantiate()
+            .join_with(r, s, self.k, self.metric, ctx)?;
         ctx.record_join(self.algorithm.name(), &result.metrics);
         Ok(result)
     }
@@ -253,7 +237,6 @@ impl Default for JoinPlan {
             combiner: pgbj.combiner,
             seed: pgbj.seed,
             delta_threshold: DEFAULT_DELTA_THRESHOLD,
-            kernel_mode: KernelMode::default(),
         }
     }
 }

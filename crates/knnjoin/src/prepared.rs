@@ -45,7 +45,7 @@
 use crate::algorithms::{HbrjPrepared, VoronoiServeState, ZknnPrepared};
 use crate::context::{ExecutionContext, ServingStats};
 use crate::delta::{DeltaOverlay, DeltaStats};
-use crate::exact::FlatPrepared;
+use crate::exact::{validate_point, validate_probe, FlatPrepared};
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::{Algorithm, JoinPlan};
 use crate::result::{JoinError, JoinResult, JoinRow, ResultSink};
@@ -218,7 +218,7 @@ impl PreparedJoin {
             Algorithm::Hbrj => PreparedState::Hbrj(HbrjPrepared::build(s, &plan, m)),
             Algorithm::Zknn => PreparedState::Zknn(ZknnPrepared::build(calibration_r, s, &plan, m)),
             Algorithm::BroadcastJoin | Algorithm::NestedLoopJoin => {
-                PreparedState::Flat(FlatPrepared::build(s, plan.kernel_mode, m))
+                PreparedState::Flat(FlatPrepared::build(s, m))
             }
         };
         let build_time = start.elapsed();
@@ -328,14 +328,11 @@ impl PreparedJoin {
     ///
     /// # Errors
     /// Returns [`JoinError::DimensionalityMismatch`] when the point's
-    /// dimensionality differs from the corpus.
+    /// dimensionality differs from the corpus, and
+    /// [`JoinError::NonFiniteCoordinate`] when a coordinate is NaN or
+    /// infinite.
     pub fn insert(&self, point: Point) -> Result<(), JoinError> {
-        if point.coords.len() != self.inner.s_dims {
-            return Err(JoinError::DimensionalityMismatch {
-                r_dims: point.coords.len(),
-                s_dims: self.inner.s_dims,
-            });
-        }
+        validate_point(&point, "S", self.inner.s_dims)?;
         let _guard = self.inner.mutate.lock();
         let epoch = self.inner.snapshot();
         let mut delta = (*epoch.delta).clone();
@@ -471,23 +468,7 @@ impl PreparedJoin {
     /// observe a single consistent corpus version even while concurrent
     /// mutations publish new epochs mid-probe.
     fn run_probe(&self, r: &PointSet) -> Result<(Vec<JoinRow>, JoinMetrics), JoinError> {
-        if r.is_empty() {
-            return Err(JoinError::EmptyInput("R"));
-        }
-        if let Some((index, dims)) = r.first_dim_mismatch() {
-            return Err(JoinError::RaggedInput {
-                dataset: "R",
-                index,
-                dims,
-                expected: r.dims(),
-            });
-        }
-        if r.dims() != self.inner.s_dims {
-            return Err(JoinError::DimensionalityMismatch {
-                r_dims: r.dims(),
-                s_dims: self.inner.s_dims,
-            });
-        }
+        validate_probe(r, self.inner.s_dims)?;
         let inner = &*self.inner;
         let epoch = inner.snapshot();
         // An empty overlay probes the frozen structures through exactly the
@@ -528,8 +509,8 @@ impl PreparedJoin {
     /// object of `r`.
     ///
     /// # Errors
-    /// Returns [`JoinError`] when the batch is empty, ragged or of the wrong
-    /// dimensionality.
+    /// Returns [`JoinError`] when the batch is empty, ragged, of the wrong
+    /// dimensionality or holds a NaN or infinite coordinate.
     pub fn query(&self, r: &PointSet) -> Result<JoinResult, JoinError> {
         let (rows, metrics) = self.run_probe(r)?;
         Ok(JoinResult { rows, metrics })
@@ -539,7 +520,8 @@ impl PreparedJoin {
     /// `point`.
     ///
     /// # Errors
-    /// Returns [`JoinError`] on a dimensionality mismatch.
+    /// Returns [`JoinError`] on a dimensionality mismatch or a NaN or
+    /// infinite coordinate.
     pub fn query_one(&self, point: &Point) -> Result<JoinRow, JoinError> {
         let singleton = PointSet::from_points(vec![point.clone()]);
         let (mut rows, _) = self.run_probe(&singleton)?;

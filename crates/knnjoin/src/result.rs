@@ -50,6 +50,15 @@ pub enum JoinError {
         /// The dataset's dimensionality (from its first point).
         expected: usize,
     },
+    /// A point has a NaN or infinite coordinate.  Rejected up front because
+    /// every pruning bound orders distances, and a NaN distance has no order:
+    /// it would panic a sort or silently drop neighbours.
+    NonFiniteCoordinate {
+        /// Which dataset (`"R"` or `"S"`).
+        dataset: &'static str,
+        /// Index of the first offending point (0 for a single point).
+        index: usize,
+    },
     /// An explicitly requested pivot count was zero or exceeded the datasets.
     PivotCountOutOfRange {
         /// The requested number of pivots.
@@ -124,6 +133,7 @@ impl JoinError {
             | JoinError::EmptyInput(_)
             | JoinError::DimensionalityMismatch { .. }
             | JoinError::RaggedInput { .. }
+            | JoinError::NonFiniteCoordinate { .. }
             | JoinError::PivotCountOutOfRange { .. }
             | JoinError::ZeroReducers
             | JoinError::ZeroMapTasks => JoinErrorKind::PlanValidation,
@@ -152,6 +162,10 @@ impl std::fmt::Display for JoinError {
                 f,
                 "dataset {dataset} is ragged: point at index {index} has {dims} \
                  dimensions, expected {expected}"
+            ),
+            JoinError::NonFiniteCoordinate { dataset, index } => write!(
+                f,
+                "dataset {dataset} has a NaN or infinite coordinate at point index {index}"
             ),
             JoinError::PivotCountOutOfRange {
                 pivot_count,
@@ -689,6 +703,12 @@ mod tests {
         };
         assert!(ragged.to_string().contains("S is ragged"));
         assert!(ragged.to_string().contains("index 7"));
+        let non_finite = JoinError::NonFiniteCoordinate {
+            dataset: "R",
+            index: 4,
+        };
+        assert!(non_finite.to_string().contains("NaN or infinite"));
+        assert!(non_finite.to_string().contains("index 4"));
         let substrate = JoinError::substrate("pgbj-join", mapreduce::JobError::NoReducers);
         assert!(substrate.to_string().contains("pgbj-join"));
         let overloaded = JoinError::Overloaded {
@@ -724,6 +744,10 @@ mod tests {
                 index: 3,
                 dims: 2,
                 expected: 4,
+            },
+            JoinError::NonFiniteCoordinate {
+                dataset: "S",
+                index: 0,
             },
         ] {
             assert_eq!(e.kind(), JoinErrorKind::PlanValidation, "{e}");

@@ -57,6 +57,7 @@ mod histogram;
 
 pub use histogram::LatencyHistogram;
 
+use crate::exact::{validate_point, validate_probe};
 use crate::prepared::PreparedJoin;
 use crate::result::{JoinError, JoinResult, JoinRow};
 use geom::{Point, PointSet};
@@ -356,16 +357,11 @@ impl Server {
     ///
     /// # Errors
     /// [`JoinError::DimensionalityMismatch`] when the point doesn't match the
-    /// corpus, [`JoinError::Overloaded`] when the queue is at capacity,
+    /// corpus, [`JoinError::NonFiniteCoordinate`] when a coordinate is NaN
+    /// or infinite, [`JoinError::Overloaded`] when the queue is at capacity,
     /// [`JoinError::ServerShutdown`] after [`Server::shutdown`] began.
     pub fn submit_one(&self, point: Point) -> Result<Ticket<JoinRow>, JoinError> {
-        let s_dims = self.prepared.dims();
-        if point.coords.len() != s_dims {
-            return Err(JoinError::DimensionalityMismatch {
-                r_dims: point.coords.len(),
-                s_dims,
-            });
-        }
+        validate_point(&point, "R", self.prepared.dims())?;
         let slot = Arc::new(Slot::new());
         {
             let mut queue = lock_tolerant(&self.shared.queue);
@@ -387,27 +383,11 @@ impl Server {
     ///
     /// # Errors
     /// The [`PreparedJoin::query`] validation errors (empty, ragged, wrong
-    /// dimensionality) surface here synchronously; [`JoinError::Overloaded`] /
-    /// [`JoinError::ServerShutdown`] as for [`Server::submit_one`].
+    /// dimensionality, non-finite) surface here synchronously;
+    /// [`JoinError::Overloaded`] / [`JoinError::ServerShutdown`] as for
+    /// [`Server::submit_one`].
     pub fn submit(&self, points: PointSet) -> Result<Ticket<JoinResult>, JoinError> {
-        if points.is_empty() {
-            return Err(JoinError::EmptyInput("R"));
-        }
-        if let Some((index, dims)) = points.first_dim_mismatch() {
-            return Err(JoinError::RaggedInput {
-                dataset: "R",
-                index,
-                dims,
-                expected: points.dims(),
-            });
-        }
-        let s_dims = self.prepared.dims();
-        if points.dims() != s_dims {
-            return Err(JoinError::DimensionalityMismatch {
-                r_dims: points.dims(),
-                s_dims,
-            });
-        }
+        validate_probe(&points, self.prepared.dims())?;
         let slot = Arc::new(Slot::new());
         {
             let mut queue = lock_tolerant(&self.shared.queue);

@@ -11,7 +11,7 @@
 //! paper's *computation selectivity* metric.
 
 use crate::rect::Rect;
-use geom::{CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId};
+use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -81,26 +81,13 @@ pub struct RTree {
     fanout: usize,
     len: usize,
     height: usize,
-    /// How leaf scans evaluate distances: `Exact` walks each leaf row through
-    /// the scalar kernel with a per-row threshold check; the non-exact modes
-    /// rank the whole leaf block through the batch kernels first and check
-    /// thresholds on the converted distances.  Traversal order, MBR pruning
-    /// and the best-first heap are identical in every mode.  `RankF32` has no
-    /// dedicated tree path and behaves as `Fast` (the leaves are too small
-    /// for a separate `f32` filter pass to pay off).
-    mode: KernelMode,
 }
 
-/// Priority-queue entry for best-first traversal: either a node or a point,
-/// keyed by its minimum possible distance to the query.
-enum QueueEntry<'a> {
-    Node(&'a Node),
-    Point(PointId, f64),
-}
-
+/// Priority-queue entry for best-first traversal: a node keyed by its
+/// minimum possible distance to the query.
 struct Prioritized<'a> {
     dist: f64,
-    entry: QueueEntry<'a>,
+    node: &'a Node,
 }
 
 impl PartialEq for Prioritized<'_> {
@@ -143,20 +130,6 @@ impl RTree {
         metric: DistanceMetric,
         fanout: usize,
     ) -> Self {
-        Self::bulk_load_with_mode(points, metric, fanout, KernelMode::Exact)
-    }
-
-    /// [`RTree::bulk_load_with_fanout`] with an explicit [`KernelMode`] for
-    /// the leaf scans (see the `mode` field for the semantics).
-    ///
-    /// # Panics
-    /// Panics if `fanout < 2`.
-    pub fn bulk_load_with_mode(
-        points: Vec<Point>,
-        metric: DistanceMetric,
-        fanout: usize,
-        mode: KernelMode,
-    ) -> Self {
         assert!(fanout >= 2, "fanout must be at least 2");
         let len = points.len();
         if points.is_empty() {
@@ -166,7 +139,6 @@ impl RTree {
                 fanout,
                 len: 0,
                 height: 0,
-                mode,
             };
         }
         let dims = points[0].dims().max(1);
@@ -183,7 +155,6 @@ impl RTree {
             fanout,
             len,
             height,
-            mode,
         }
     }
 
@@ -210,11 +181,6 @@ impl RTree {
     /// The configured fanout.
     pub fn fanout(&self) -> usize {
         self.fanout
-    }
-
-    /// The leaf-scan kernel mode the tree was built with.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// The `k` nearest neighbours of `query`, sorted by ascending distance.
@@ -251,71 +217,50 @@ impl RTree {
         if result.k() == 0 || self.root.is_none() {
             return 0;
         }
-        let kernel = self.metric.kernel();
         let batch = self.metric.batch_rank_kernel();
         let dims = query.coords.len();
         // Reused across every leaf this query visits; leaves hold at most
-        // `fanout` rows, so the non-exact path sizes it once up front.
-        let mut ranks = if self.mode.is_exact() {
-            Vec::new()
-        } else {
-            vec![0.0f64; self.fanout]
-        };
+        // `fanout` rows.
+        let mut ranks = vec![0.0f64; self.fanout];
         let mut distance_computations = 0u64;
         let mut heap: BinaryHeap<Prioritized<'_>> = BinaryHeap::new();
         let root = self.root.as_ref().expect("checked above");
         heap.push(Prioritized {
             dist: root.mbr().min_distance(query, self.metric),
-            entry: QueueEntry::Node(root),
+            node: root,
         });
-        while let Some(Prioritized { dist, entry }) = heap.pop() {
+        while let Some(Prioritized { dist, node }) = heap.pop() {
             // Everything still in the heap is at least `dist` away; once that
             // exceeds the current kth-distance we are done.
             if dist > result.threshold() {
                 break;
             }
-            match entry {
-                QueueEntry::Point(id, d) => {
-                    result.offer(id, d);
-                }
-                QueueEntry::Node(Node::Leaf { ids, coords, .. }) => {
-                    if !self.mode.is_exact() {
-                        // Rank the whole leaf block in one batch-kernel call,
-                        // convert, then offer straight into the accumulator.
-                        // Skipping the per-point heap round-trip saves a
-                        // push+pop per candidate and tightens the threshold
-                        // immediately, pruning later subtrees harder.  The
-                        // final k best are unchanged: a candidate the heap
-                        // would deliver later is offered now at the same
-                        // distance, and the threshold only shrinks toward
-                        // the same kth distance.
-                        let m = ids.len();
-                        batch(&query.coords, coords.as_slice(), dims, &mut ranks[..m]);
-                        self.metric.ranks_to_distances(&mut ranks[..m]);
-                        distance_computations += m as u64;
-                        for (i, &d) in ranks[..m].iter().enumerate() {
-                            result.offer(ids[i], d);
-                        }
-                        continue;
-                    }
-                    for (i, row) in coords.rows().enumerate() {
-                        let d = kernel(&query.coords, row);
-                        distance_computations += 1;
-                        if d <= result.threshold() {
-                            heap.push(Prioritized {
-                                dist: d,
-                                entry: QueueEntry::Point(ids[i], d),
-                            });
-                        }
+            match node {
+                Node::Leaf { ids, coords, .. } => {
+                    // Rank the whole leaf block in one batch-kernel call,
+                    // convert, then offer straight into the accumulator.
+                    // The batch ranks are bit-identical to the scalar
+                    // kernel's, and offering a leaf at once (rather than
+                    // queueing each point) tightens the threshold right
+                    // away, pruning later subtrees harder.  The final k
+                    // best are those of an exhaustive scan: a subtree is
+                    // only skipped when its MBR is farther than the kth
+                    // distance found so far.
+                    let m = ids.len();
+                    batch(&query.coords, coords.as_slice(), dims, &mut ranks[..m]);
+                    self.metric.ranks_to_distances(&mut ranks[..m]);
+                    distance_computations += m as u64;
+                    for (&id, &d) in ids.iter().zip(&ranks[..m]) {
+                        result.offer(id, d);
                     }
                 }
-                QueueEntry::Node(Node::Internal { children, .. }) => {
+                Node::Internal { children, .. } => {
                     for child in children {
                         let d = child.mbr().min_distance(query, self.metric);
                         if d <= result.threshold() {
                             heap.push(Prioritized {
                                 dist: d,
-                                entry: QueueEntry::Node(child),
+                                node: child,
                             });
                         }
                     }
@@ -529,37 +474,6 @@ mod tests {
     #[should_panic(expected = "fanout")]
     fn tiny_fanout_panics() {
         let _ = RTree::bulk_load_with_fanout(random_points(10, 2, 0), DistanceMetric::Euclidean, 1);
-    }
-
-    #[test]
-    fn fast_mode_leaf_scans_match_exact_mode() {
-        for metric in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::Manhattan,
-            DistanceMetric::Chebyshev,
-        ] {
-            let pts = random_points(800, 4, 17);
-            let exact = RTree::bulk_load_with_fanout(pts.clone(), metric, 8);
-            for mode in [KernelMode::Fast, KernelMode::RankF32] {
-                let fast = RTree::bulk_load_with_mode(pts.clone(), metric, 8, mode);
-                assert_eq!(fast.kernel_mode(), mode);
-                let mut rng = StdRng::seed_from_u64(99);
-                for _ in 0..25 {
-                    let q =
-                        Point::new(u64::MAX, (0..4).map(|_| rng.gen::<f64>() * 100.0).collect());
-                    let want = exact.knn(&q, 7);
-                    let got = fast.knn(&q, 7);
-                    assert_eq!(
-                        want.iter().map(|n| n.id).collect::<Vec<_>>(),
-                        got.iter().map(|n| n.id).collect::<Vec<_>>(),
-                        "{metric:?}/{mode:?}"
-                    );
-                    for (w, g) in want.iter().zip(&got) {
-                        assert!((w.distance - g.distance).abs() <= 1e-9 * w.distance.max(1.0));
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod prelude {
         expand_dataset, forest_like, gaussian_clusters, osm_like, uniform, ClusterConfig,
         ForestConfig, OsmConfig,
     };
-    pub use geom::{DistanceMetric, KernelMode, Neighbor, Point, PointSet};
+    pub use geom::{DistanceMetric, Neighbor, Point, PointSet};
     pub use knnjoin::algorithms::{
         BroadcastJoin, BroadcastJoinConfig, Hbrj, HbrjConfig, KnnJoinAlgorithm, Pbj, PbjConfig,
         Pgbj, PgbjConfig, Zknn, ZknnConfig,
