@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{forest_like, ForestConfig};
 use geom::DistanceMetric;
-use knnjoin::bounds::{bounding_knn_theta, PartitionBounds};
+use knnjoin::bounds::{table_theta, PartitionBounds};
 use knnjoin::partition::VoronoiPartitioner;
 use knnjoin::pivots::{select_pivots, PivotSelectionStrategy};
 use knnjoin::summary::SummaryTables;
@@ -46,7 +46,7 @@ fn bench_bounds(c: &mut Criterion) {
             BenchmarkId::new("theta_single_partition", pivots),
             &tables,
             |b, t| {
-                b.iter(|| bounding_knn_theta(t, 0, 10));
+                b.iter(|| table_theta(t, 0, 10));
             },
         );
         group.bench_with_input(

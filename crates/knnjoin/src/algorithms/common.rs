@@ -3,7 +3,7 @@
 //! merge jobs, counter names, the candidate scans, and the direct probe
 //! loop and Voronoi state of the prepared PGBJ / PBJ path.
 
-use crate::bounds::{bounding_knn_theta, hyperplane_bound, theorem2_window};
+use crate::bounds::{hyperplane_bound, table_theta, theorem2_window};
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::partition::VoronoiPartitioner;
@@ -11,7 +11,8 @@ use crate::pivots::select_pivots;
 use crate::plan::{Algorithm, JoinPlan};
 use crate::result::JoinRow;
 use crate::summary::{
-    build_s_summaries, pivot_distance_matrix, RPartitionSummary, SPartitionSummary, SummaryTables,
+    build_s_summaries, k_smallest_ascending, pivot_distance_matrix, RPartitionSummary,
+    SPartitionSummary, SummaryTables,
 };
 use geom::{
     CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointId, PointSet, Record,
@@ -524,15 +525,12 @@ impl VoronoiServeState {
         // objects are deleted, so tombstones demote θ to the running kth
         // distance alone.  Only the cells the batch occupies need a bound.
         let tombstoned = delta.is_some_and(|d| d.tombstones_len() > 0);
-        let theta: Vec<f64> = tables
-            .r_summaries
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| {
-                if tombstoned || cell.count == 0 {
+        let theta: Vec<f64> = (0..tables.partition_count())
+            .map(|i| {
+                if tombstoned {
                     f64::INFINITY
                 } else {
-                    bounding_knn_theta(&tables, i, plan.k)
+                    table_theta(&tables, i, plan.k)
                 }
             })
             .collect();
@@ -714,11 +712,7 @@ fn compute_s_orders(
     (0..partition_count)
         .map(|i| {
             let mut order = non_empty.to_vec();
-            order.sort_by(|&a, &b| {
-                pivot_distances[i][a]
-                    .partial_cmp(&pivot_distances[i][b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            order.sort_by(|&a, &b| pivot_distances[i][a].total_cmp(&pivot_distances[i][b]));
             order
         })
         .collect()
@@ -728,8 +722,12 @@ fn compute_s_orders(
 /// [`build_s_summaries`]: `(0, 0)` bounds for empty cells, the `k` smallest
 /// pivot distances ascending otherwise.  Both are order-insensitive in the
 /// cell contents, which is what lets compaction recompute only the affected
-/// rows.
-fn summarize_flat_partition(partition: usize, flat: &FlatPartition, k: usize) -> SPartitionSummary {
+/// rows, and lets a PBJ reducer cell summarise the `S` block it received.
+pub(crate) fn summarize_flat_partition(
+    partition: usize,
+    flat: &FlatPartition,
+    k: usize,
+) -> SPartitionSummary {
     if flat.is_empty() {
         return SPartitionSummary {
             partition,
@@ -745,15 +743,12 @@ fn summarize_flat_partition(partition: usize, flat: &FlatPartition, k: usize) ->
         lower = lower.min(d);
         upper = upper.max(d);
     }
-    let mut dists = flat.pivot_dists.clone();
-    dists.sort_by(f64::total_cmp);
-    dists.truncate(k);
     SPartitionSummary {
         partition,
         count: flat.len(),
         lower,
         upper,
-        knn_distances: dists,
+        knn_distances: k_smallest_ascending(flat.pivot_dists.clone(), k),
     }
 }
 
@@ -765,12 +760,8 @@ pub fn order_s_partitions(
     tables: &SummaryTables,
 ) -> Vec<usize> {
     let mut order: Vec<usize> = s_parts.keys().copied().collect();
-    order.sort_by(|&a, &b| {
-        tables
-            .pivot_distance(r_partition, a)
-            .partial_cmp(&tables.pivot_distance(r_partition, b))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    let row = &tables.pivot_distances[r_partition];
+    order.sort_by(|&a, &b| row[a].total_cmp(&row[b]));
     order
 }
 

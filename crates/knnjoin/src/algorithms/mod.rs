@@ -30,7 +30,7 @@ pub use zknn::{Zknn, ZknnConfig};
 
 pub(crate) use common::VoronoiServeState;
 pub(crate) use hbrj::HbrjPrepared;
-pub(crate) use zknn::ZknnPrepared;
+pub(crate) use zknn::{check_z_domain, ZknnPrepared};
 
 use crate::context::ExecutionContext;
 use crate::result::{JoinError, JoinResult};

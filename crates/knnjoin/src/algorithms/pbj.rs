@@ -3,29 +3,30 @@
 //! PBJ keeps the Voronoi partitioning and all of PGBJ's distance bounds, but
 //! drops the grouping step: like H-BRJ it splits `R` and `S` into `B = ⌊√N⌋`
 //! random blocks, joins every `(R_i, S_j)` pair on one reducer, and merges the
-//! partial results with a second MapReduce job.  Inside a reducer, the summary
-//! tables are used to derive a (necessarily looser, because the local `S`
-//! block is a random sample of `S`) kNN distance bound and to prune candidate
-//! partitions and objects — exactly the behaviour the paper uses to isolate
-//! how much of PGBJ's win comes from the grouping versus the bounds.
+//! partial results with a second MapReduce job.  Inside a reducer, Algorithm 1
+//! runs over the `T_S` of the `S` block the cell received to derive each `R`
+//! partition's kNN distance bound `θ_i` (necessarily looser than PGBJ's,
+//! because the block is a random sample of `S`), and the global summary
+//! tables prune candidate partitions and objects — exactly the behaviour the
+//! paper uses to isolate how much of PGBJ's win comes from the grouping versus
+//! the bounds.
 
 use crate::algorithms::blocks::run_block_framework;
 use crate::algorithms::common::{
-    bounded_knn_scan, counters, order_s_partitions, split_reducer_records, EncodedRecord,
-    FlatPartition, NeighborListValue,
+    bounded_knn_scan, counters, order_s_partitions, split_reducer_records,
+    summarize_flat_partition, EncodedRecord, NeighborListValue,
 };
 use crate::algorithms::KnnJoinAlgorithm;
-use crate::bounds::upper_bound;
+use crate::bounds::bounding_knn_theta;
 use crate::context::ExecutionContext;
 use crate::exact::validate_inputs;
 use crate::metrics::{phases, JoinMetrics};
 use crate::partition::VoronoiPartitioner;
 use crate::pivots::{select_pivots, PivotSelectionStrategy};
 use crate::result::{JoinError, JoinResult};
-use crate::summary::SummaryTables;
+use crate::summary::{SPartitionSummary, SummaryTables};
 use geom::{DistanceMetric, PointSet, RecordKind};
 use mapreduce::{ReduceContext, Reducer};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -199,28 +200,6 @@ struct PbjCellReducer {
     metric: DistanceMetric,
 }
 
-impl PbjCellReducer {
-    /// Derives a kNN-distance bound for the objects of one `R` partition from
-    /// the `S` objects this reducer actually received (the "looser bound" the
-    /// paper attributes to PBJ): the `k`-th smallest `ub(s, P_i^R)` over the
-    /// local block.
-    fn local_theta(&self, r_partition: usize, s_parts: &BTreeMap<usize, FlatPartition>) -> f64 {
-        let u_r = self.tables.r_summaries[r_partition].upper;
-        let mut ubs: Vec<f64> = Vec::new();
-        for (&j, bucket) in s_parts {
-            let pivot_dist = self.tables.pivot_distance(r_partition, j);
-            for s_pivot_dist in &bucket.pivot_dists {
-                ubs.push(upper_bound(u_r, pivot_dist, *s_pivot_dist));
-            }
-        }
-        if ubs.len() < self.k {
-            return f64::INFINITY;
-        }
-        ubs.sort_by(f64::total_cmp);
-        ubs[self.k - 1]
-    }
-}
-
 impl Reducer for PbjCellReducer {
     type KIn = u32;
     type VIn = EncodedRecord;
@@ -235,10 +214,21 @@ impl Reducer for PbjCellReducer {
     ) {
         let dims = self.tables.pivots.first().map_or(0, |p| p.dims());
         let (r_parts, s_parts) = split_reducer_records(values, dims);
+        // The cell's own T_S, over the random S block it received: θ_i from
+        // it is the looser bound the paper attributes to PBJ.
+        let cell_t_s: Vec<SPartitionSummary> = s_parts
+            .iter()
+            .map(|(&j, bucket)| summarize_flat_partition(j, bucket, self.k))
+            .collect();
 
         for (&i, r_bucket) in &r_parts {
             let s_order = order_s_partitions(&s_parts, i, &self.tables);
-            let theta_i = self.local_theta(i, &s_parts);
+            let theta_i = bounding_knn_theta(
+                self.tables.r_summaries[i].upper,
+                &cell_t_s,
+                &self.tables.pivot_distances[i],
+                self.k,
+            );
             for (r_obj, r_pivot_dist) in r_bucket {
                 let (neighbors, computations) = bounded_knn_scan(
                     r_obj,
@@ -262,9 +252,13 @@ impl Reducer for PbjCellReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::common::FlatPartition;
+    use crate::bounds::upper_bound;
     use crate::exact::NestedLoopJoin;
     use datagen::{gaussian_clusters, uniform, ClusterConfig};
+    use geom::Point;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn clustered(n: usize, seed: u64) -> PointSet {
         gaussian_clusters(
@@ -441,6 +435,139 @@ mod tests {
         ));
         assert_eq!(Pbj::default().name(), "PBJ");
         assert_eq!(Pbj::default().config().pivot_count, 32);
+    }
+
+    /// The per-cell bound as first defined: every `ub(s, P_i^R)` of the cell,
+    /// fully sorted, taking the `k`-th (∞ below `k` objects).  Kept as the
+    /// oracle Algorithm 1 over the cell's `T_S` must reproduce bit for bit.
+    fn full_sort_theta(
+        u_r: f64,
+        pivot_row: &[f64],
+        s_parts: &BTreeMap<usize, FlatPartition>,
+        k: usize,
+    ) -> f64 {
+        let mut ubs: Vec<f64> = s_parts
+            .iter()
+            .flat_map(|(&j, bucket)| {
+                bucket
+                    .pivot_dists
+                    .iter()
+                    .map(move |&d| upper_bound(u_r, pivot_row[j], d))
+            })
+            .collect();
+        if ubs.len() < k {
+            return f64::INFINITY;
+        }
+        ubs.sort_by(f64::total_cmp);
+        ubs[k - 1]
+    }
+
+    /// One reducer cell on an 8×8 integer grid (so pivot distances tie); each
+    /// point is given by its cell number `x + 8y`.  Returns `S` split by
+    /// nearest pivot into the non-empty flat partitions the reducer sees, the
+    /// pivot-distance matrix, and `U(P_i^R)` for every pivot.
+    fn grid_cell(
+        pivots: &[u32],
+        s: &[u32],
+        r: &[u32],
+        metric: DistanceMetric,
+    ) -> (BTreeMap<usize, FlatPartition>, Vec<Vec<f64>>, Vec<f64>) {
+        let point = |id: usize, &cell: &u32| {
+            Point::new(id as u64, vec![f64::from(cell % 8), f64::from(cell / 8)])
+        };
+        let pivots: Vec<Point> = pivots
+            .iter()
+            .enumerate()
+            .map(|(i, c)| point(i, c))
+            .collect();
+        let nearest = |p: &Point| {
+            pivots
+                .iter()
+                .enumerate()
+                .map(|(j, pivot)| (j, metric.distance(p, pivot)))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("at least one pivot")
+        };
+        let mut s_parts: BTreeMap<usize, FlatPartition> = BTreeMap::new();
+        for (id, c) in s.iter().enumerate() {
+            let p = point(id, c);
+            let (j, d) = nearest(&p);
+            s_parts
+                .entry(j)
+                .or_insert_with(|| FlatPartition::new(2))
+                .push(&p, d);
+        }
+        let mut u_r = vec![0.0f64; pivots.len()];
+        for (id, c) in r.iter().enumerate() {
+            let (i, d) = nearest(&point(id, c));
+            u_r[i] = u_r[i].max(d);
+        }
+        let pivot_distances = crate::summary::pivot_distance_matrix(&pivots, metric);
+        (s_parts, pivot_distances, u_r)
+    }
+
+    /// Asserts that Algorithm 1 over the cell's `T_S` (each partition's `k`
+    /// smallest pivot distances) gives the full sort's `θ_i` bit for bit, for
+    /// every pivot: `ub` is monotone in `|p_j, s|`, so no `ub` outside a
+    /// partition's `k` smallest can be among the cell's `k` smallest.
+    fn assert_cell_theta_is_the_full_sort(
+        pivots: &[u32],
+        s: &[u32],
+        r: &[u32],
+        k: usize,
+        metric: DistanceMetric,
+    ) {
+        let (s_parts, pivot_distances, u_r) = grid_cell(pivots, s, r, metric);
+        let t_s: Vec<SPartitionSummary> = s_parts
+            .iter()
+            .map(|(&j, bucket)| summarize_flat_partition(j, bucket, k))
+            .collect();
+        for i in 0..pivots.len() {
+            let want = full_sort_theta(u_r[i], &pivot_distances[i], &s_parts, k);
+            let got = bounding_knn_theta(u_r[i], &t_s, &pivot_distances[i], k);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{metric:?}, k = {k}, S = {s:?}, partition {i}"
+            );
+            assert_eq!(want.is_infinite(), s.len() < k);
+        }
+    }
+
+    #[test]
+    fn cell_theta_edge_cases_match_the_full_sort() {
+        // Pivots at (0, 0) and (4, 4); R at (1, 1) and (3, 3); k = 3.
+        let cases: [&[u32]; 4] = [
+            // No S object at all, and fewer than k objects in one partition.
+            &[],
+            &[1],
+            // Four ties at distance 1 around the first pivot, one partition.
+            &[1, 8, 1, 8],
+            // Both partitions, each holding fewer than k objects.
+            &[1, 8, 44, 37, 36],
+        ];
+        for s in cases {
+            assert_cell_theta_is_the_full_sort(&[0, 36], s, &[9, 27], 3, DistanceMetric::Euclidean);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn cell_theta_is_the_full_sort_bit_for_bit(
+            pivots in collection::vec(0u32..64, 1..5),
+            s in collection::vec(0u32..64, 0..40),
+            r in collection::vec(0u32..64, 1..20),
+            k in 1usize..12,
+            which_metric in 0usize..3,
+        ) {
+            let metric = [
+                DistanceMetric::Euclidean,
+                DistanceMetric::Manhattan,
+                DistanceMetric::Chebyshev,
+            ][which_metric];
+            assert_cell_theta_is_the_full_sort(&pivots, &s, &r, k, metric);
+        }
     }
 
     proptest! {

@@ -155,13 +155,7 @@ impl KnnJoinAlgorithm for Zknn {
         self.validate()?;
         validate_inputs(r, s, k)?;
         let cfg = &self.config;
-        let dims = r.dims();
-        if dims as u32 * cfg.quantization_bits > MAX_Z_BITS {
-            return Err(JoinError::InvalidConfig(format!(
-                "{dims} dims × {} quantization bits exceeds the {MAX_Z_BITS}-bit z-value",
-                cfg.quantization_bits
-            )));
-        }
+        check_z_domain(r.dims(), cfg.quantization_bits)?;
         let mut metrics = JoinMetrics {
             r_size: r.len(),
             s_size: s.len(),
@@ -230,6 +224,24 @@ impl KnnJoinAlgorithm for Zknn {
     }
 }
 
+/// Rejects inputs H-zkNNJ cannot map to z-values: a z-value interleaves at
+/// least one dimension, and `dims × bits` must fit in [`MAX_Z_BITS`].  The
+/// cold join and [`crate::JoinBuilder::plan`] (and so every prepared build)
+/// both check this before [`z_calibration`] builds the quantizer.
+pub(crate) fn check_z_domain(dims: usize, bits: u32) -> Result<(), JoinError> {
+    if dims == 0 {
+        return Err(JoinError::InvalidConfig(
+            "H-zkNNJ needs at least one dimension to build z-values".into(),
+        ));
+    }
+    if dims as u32 * bits > MAX_Z_BITS {
+        return Err(JoinError::InvalidConfig(format!(
+            "{dims} dims × {bits} quantization bits exceeds the {MAX_Z_BITS}-bit z-value"
+        )));
+    }
+    Ok(())
+}
+
 /// The driver-side calibration shared by the cold and prepared paths: the
 /// quantization domain over `R ∪ S`, the [`ZQuantizer`] it induces, and the
 /// seeded shift vectors.  One definition, so the prepared path cannot drift
@@ -252,7 +264,7 @@ fn z_calibration(
     }
     let widths: Vec<f64> = mins.iter().zip(&maxs).map(|(lo, hi)| hi - lo).collect();
     let quantizer =
-        ZQuantizer::new(&mins, &maxs, bits).expect("bits validated against dims before build");
+        ZQuantizer::new(&mins, &maxs, bits).expect("z domain validated by check_z_domain");
     let shifts = random_shifts(&widths, copies, seed);
     (quantizer, shifts)
 }

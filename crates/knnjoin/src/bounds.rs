@@ -20,7 +20,7 @@
 
 use crate::grouping::PartitionGrouping;
 use crate::partition::PartitionedDataset;
-use crate::summary::SummaryTables;
+use crate::summary::{SPartitionSummary, SummaryTables};
 use std::collections::BinaryHeap;
 
 /// Theorem 1: distance from an object `q` to the generalized hyperplane
@@ -84,26 +84,31 @@ pub fn lower_bound(u_r_partition: f64, pivot_dist: f64, s_pivot_dist: f64) -> f6
 }
 
 /// Algorithm 1 (`boundingKNN`): computes `θ_i`, an upper bound on the kNN
-/// distance of every object in `R` partition `r_partition`, using only the
-/// summary tables.
+/// distance of every object in the `R` partition `P_i^R`, from summaries
+/// alone.
 ///
-/// Returns `f64::INFINITY` when `S` holds fewer than `k` objects overall (the
-/// bound is then vacuous but still sound) or when the `R` partition is empty.
-pub fn bounding_knn_theta(tables: &SummaryTables, r_partition: usize, k: usize) -> f64 {
+/// `u_r` is `U(P_i^R)`, `s_summaries` is the `T_S` to bound over (the whole
+/// of `S` for PGBJ, the block of `S` one reducer cell received for PBJ) and
+/// `pivot_row[j]` is `|p_i, p_j|` for every partition id `j` the summaries
+/// name.  Returns `f64::INFINITY` when the summaries hold fewer than `k`
+/// objects (the bound is then vacuous but still sound).  An empty `R`
+/// partition has no objects to bound; callers skip it.
+pub fn bounding_knn_theta(
+    u_r: f64,
+    s_summaries: &[SPartitionSummary],
+    pivot_row: &[f64],
+    k: usize,
+) -> f64 {
     assert!(k > 0, "k must be positive");
-    let r_summary = &tables.r_summaries[r_partition];
-    if r_summary.count == 0 {
-        return f64::INFINITY;
-    }
     // Max-heap keeps the k smallest upper bounds; its top is the current θ.
     let mut heap: BinaryHeap<OrderedF64> = BinaryHeap::with_capacity(k + 1);
-    for s_summary in tables.s_summaries.iter() {
-        let pivot_dist = tables.pivot_distance(r_partition, s_summary.partition);
-        // knn_distances is ascending, so once one candidate fails to improve
-        // the heap no later candidate of this partition can (line 8 of
-        // Algorithm 1).
+    for s_summary in s_summaries {
+        let pivot_dist = pivot_row[s_summary.partition];
+        // knn_distances is ascending and ub is monotone in it, so once one
+        // candidate fails to improve the heap no later candidate of this
+        // partition can (line 8 of Algorithm 1).
         for s_pivot_dist in &s_summary.knn_distances {
-            let ub = upper_bound(r_summary.upper, pivot_dist, *s_pivot_dist);
+            let ub = upper_bound(u_r, pivot_dist, *s_pivot_dist);
             if heap.len() < k {
                 heap.push(OrderedF64(ub));
             } else if heap.peek().is_some_and(|top| ub < top.0) {
@@ -118,6 +123,21 @@ pub fn bounding_knn_theta(tables: &SummaryTables, r_partition: usize, k: usize) 
         Some(top) if heap.len() >= k => top.0,
         _ => f64::INFINITY,
     }
+}
+
+/// [`bounding_knn_theta`] for `R` partition `r_partition` over the whole of
+/// `tables`; `f64::INFINITY` when that partition is empty.
+pub fn table_theta(tables: &SummaryTables, r_partition: usize, k: usize) -> f64 {
+    let r_summary = &tables.r_summaries[r_partition];
+    if r_summary.count == 0 {
+        return f64::INFINITY;
+    }
+    bounding_knn_theta(
+        r_summary.upper,
+        &tables.s_summaries,
+        &tables.pivot_distances[r_partition],
+        k,
+    )
 }
 
 /// Per-partition bounds computed before the second MapReduce job (Algorithm
@@ -135,7 +155,7 @@ impl PartitionBounds {
     /// `(R partition, S partition)` pair.
     pub fn compute(tables: &SummaryTables, k: usize) -> Self {
         let n = tables.partition_count();
-        let theta: Vec<f64> = (0..n).map(|i| bounding_knn_theta(tables, i, k)).collect();
+        let theta: Vec<f64> = (0..n).map(|i| table_theta(tables, i, k)).collect();
         let lb = (0..n)
             .map(|i| {
                 let u_r = tables.r_summaries[i].upper;
@@ -213,15 +233,13 @@ impl PartitionBounds {
     }
 }
 
-/// `f64` wrapper with a total order, for use in heaps (distances are finite).
+/// `f64` wrapper with a total order (`f64::total_cmp`), for use in heaps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct OrderedF64(f64);
 impl Eq for OrderedF64 {}
 impl Ord for OrderedF64 {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
+        self.0.total_cmp(&other.0)
     }
 }
 impl PartialOrd for OrderedF64 {
@@ -263,7 +281,7 @@ mod tests {
             summary.knn_distances.insert(0, f64::NAN);
         }
         for (i, bucket) in pr.partitions.iter().enumerate() {
-            let theta = bounding_knn_theta(&tables, i, 5);
+            let theta = table_theta(&tables, i, 5);
             if bucket.is_empty() {
                 assert_eq!(theta, f64::INFINITY);
             }
@@ -352,7 +370,7 @@ mod tests {
         let (tables, _, _) = build_tables(&r, &s, 3, 5, 3);
         for i in 0..tables.partition_count() {
             if tables.r_summaries[i].count > 0 {
-                assert!(bounding_knn_theta(&tables, i, 5).is_infinite());
+                assert!(table_theta(&tables, i, 5).is_infinite());
             }
         }
     }

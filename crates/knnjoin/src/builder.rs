@@ -289,15 +289,8 @@ impl<'a> JoinBuilder<'a> {
                 "delta_threshold must be at least 1".into(),
             ));
         }
-        if self.algorithm == Algorithm::Zknn
-            && self.r.dims() as u32 * self.quantization_bits > geom::zorder::MAX_Z_BITS
-        {
-            return Err(JoinError::InvalidConfig(format!(
-                "{} dims × {} quantization bits exceeds the {}-bit z-value",
-                self.r.dims(),
-                self.quantization_bits,
-                geom::zorder::MAX_Z_BITS
-            )));
+        if self.algorithm == Algorithm::Zknn {
+            crate::algorithms::check_z_domain(self.r.dims(), self.quantization_bits)?;
         }
 
         let reducers = self.reducers.unwrap_or(DEFAULT_REDUCERS);

@@ -104,9 +104,7 @@ pub fn build_grouping(
     let first = *remaining
         .iter()
         .max_by(|&&a, &&b| {
-            sum_distance_to_all(tables, a)
-                .partial_cmp(&sum_distance_to_all(tables, b))
-                .unwrap_or(std::cmp::Ordering::Equal)
+            sum_distance_to_all(tables, a).total_cmp(&sum_distance_to_all(tables, b))
         })
         .expect("at least one partition");
     remaining.retain(|&p| p != first);
@@ -118,9 +116,7 @@ pub fn build_grouping(
         let next = *remaining
             .iter()
             .max_by(|&&a, &&b| {
-                sum_distance_to(tables, a, &seeds)
-                    .partial_cmp(&sum_distance_to(tables, b, &seeds))
-                    .unwrap_or(std::cmp::Ordering::Equal)
+                sum_distance_to(tables, a, &seeds).total_cmp(&sum_distance_to(tables, b, &seeds))
             })
             .expect("enough partitions for every group");
         remaining.retain(|&p| p != next);
@@ -201,9 +197,7 @@ impl PartialOrd for OrderedF64 {
 }
 impl Ord for OrderedF64 {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
+        self.0.total_cmp(&other.0)
     }
 }
 

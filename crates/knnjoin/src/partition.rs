@@ -146,17 +146,11 @@ impl VoronoiPartitioner {
             .map(|i| pair[i * t..(i + 1) * t].iter().sum())
             .collect();
         let ref_pivot = (0..t)
-            .max_by(|&a, &b| {
-                row_sums[a]
-                    .partial_cmp(&row_sums[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
+            .max_by(|&a, &b| row_sums[a].total_cmp(&row_sums[b]))
             .expect("at least one pivot");
         let mut ref_order: Vec<u32> = (0..t as u32).collect();
         ref_order.sort_by(|&a, &b| {
-            pair[ref_pivot * t + a as usize]
-                .partial_cmp(&pair[ref_pivot * t + b as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
+            pair[ref_pivot * t + a as usize].total_cmp(&pair[ref_pivot * t + b as usize])
         });
         let ref_dists: Vec<f64> = ref_order
             .iter()

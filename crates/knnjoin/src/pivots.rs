@@ -153,7 +153,7 @@ fn farthest_selection(
         let (best_idx, _) = summed
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .expect("sample is non-empty");
         let next = sample[best_idx].clone();
         for (i, p) in sample.iter().enumerate() {

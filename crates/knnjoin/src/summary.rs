@@ -158,9 +158,7 @@ pub fn build_s_summaries(partitioned_s: &PartitionedDataset, k: usize) -> Vec<SP
         .enumerate()
         .map(|(i, bucket)| {
             let (lower, upper) = bounds_of(bucket);
-            let mut dists: Vec<f64> = bucket.iter().map(|(_, d)| *d).collect();
-            dists.sort_by(f64::total_cmp);
-            dists.truncate(k);
+            let dists = k_smallest_ascending(bucket.iter().map(|(_, d)| *d).collect(), k);
             SPartitionSummary {
                 partition: i,
                 count: bucket.len(),
@@ -170,6 +168,18 @@ pub fn build_s_summaries(partitioned_s: &PartitionedDataset, k: usize) -> Vec<SP
             }
         })
         .collect()
+}
+
+/// The `k` smallest of `dists` in ascending [`f64::total_cmp`] order: the
+/// `KNN(p_i, P_i^S)` column of `T_S`.  A selection, then a sort of the `k`
+/// survivors, so a partition costs O(|P| + k log k) rather than a full sort.
+pub(crate) fn k_smallest_ascending(mut dists: Vec<f64>, k: usize) -> Vec<f64> {
+    if dists.len() > k {
+        dists.select_nth_unstable_by(k, f64::total_cmp);
+        dists.truncate(k);
+    }
+    dists.sort_by(f64::total_cmp);
+    dists
 }
 
 /// `(L, U)` of a partition; empty partitions report `(0, 0)` like an absent

@@ -5,6 +5,8 @@
 //! code: duplicate points, all-identical coordinates, 1-d data, and
 //! `k ≥ |S|`.  H-zkNNJ is held to its own contract instead — one row per `R`
 //! object, true distances, and recall against the oracle above a threshold.
+//! Zero-dimensional points are answered by the exact algorithms and refused
+//! by H-zkNNJ with a typed configuration error.
 
 use pgbj::prelude::*;
 use proptest::prelude::*;
@@ -132,4 +134,52 @@ proptest! {
         let k = n_s + extra_k;
         check_all_six(&r, &s, k, reducers, 1.0 - 1e-9);
     }
+}
+
+#[test]
+fn zero_dimensional_points_are_answered_exactly_or_rejected_by_h_zknnj() {
+    // Every 0-d point sits at distance zero from every other.  The exact
+    // algorithms answer that cross join; H-zkNNJ has no coordinate to build a
+    // z-value from, so its cold join, direct call and prepared build all
+    // refuse with a configuration error instead of panicking.
+    let ctx = ExecutionContext::default();
+    let r = PointSet::from_coords(vec![vec![]; 20]);
+    let s = PointSet::from_coords(vec![vec![]; 12]);
+    let k = 5;
+    let oracle = NestedLoopJoin
+        .join(&r, &s, k, DistanceMetric::Euclidean)
+        .expect("oracle");
+    assert_eq!(oracle.rows.len(), 20);
+    let builder = |algorithm| {
+        Join::new(&r, &s)
+            .k(k)
+            .algorithm(algorithm)
+            .pivot_count(4)
+            .reducers(4)
+    };
+    for algorithm in Algorithm::ALL {
+        if algorithm.is_exact() {
+            let cold = builder(algorithm)
+                .run(&ctx)
+                .unwrap_or_else(|e| panic!("{algorithm} failed: {e}"));
+            assert!(cold.matches(&oracle, 0.0), "{algorithm} cold run deviates");
+            let prepared = builder(algorithm)
+                .prepare(&ctx)
+                .unwrap_or_else(|e| panic!("{algorithm} prepare failed: {e}"));
+            let served = prepared.query(&r).expect("prepared query");
+            assert!(
+                served.matches(&oracle, 0.0),
+                "{algorithm} prepared deviates"
+            );
+        } else {
+            let cold = builder(algorithm).run(&ctx).unwrap_err();
+            assert_eq!(cold.kind(), JoinErrorKind::Configuration, "{cold}");
+            let prepared = builder(algorithm).prepare(&ctx).unwrap_err();
+            assert_eq!(prepared.kind(), JoinErrorKind::Configuration, "{prepared}");
+        }
+    }
+    let direct = Zknn::default()
+        .join(&r, &s, k, DistanceMetric::Euclidean)
+        .unwrap_err();
+    assert_eq!(direct.kind(), JoinErrorKind::Configuration, "{direct}");
 }
