@@ -148,11 +148,6 @@ impl Config {
                     receiver: "inner",
                     rank: 90,
                 },
-                LockSite {
-                    file: "crates/mapreduce/src/dfs.rs",
-                    receiver: "name_node",
-                    rank: 100,
-                },
             ],
             probe_calls: default_probe_calls(),
             drift_fields_file: Some("crates/bench/src/bin/experiments.rs".into()),
@@ -194,6 +189,6 @@ fn default_probe_calls() -> Vec<&'static str> {
         ".query_one(",
         ".query_into(",
         ".prepare(",
-        "run_job(",
+        ".run_with_partitioner(",
     ]
 }

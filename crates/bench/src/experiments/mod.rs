@@ -98,8 +98,7 @@ pub struct AlgorithmRow {
     pub selectivity_per_thousand: f64,
     /// Shuffling cost in MiB.
     pub shuffle_mib: f64,
-    /// Records crossing the shuffle across all of the algorithm's jobs
-    /// (post-combine).
+    /// Records crossing the shuffle across all of the algorithm's jobs.
     pub shuffle_records: u64,
     /// Average replication of `S` objects.
     pub avg_replication: f64,

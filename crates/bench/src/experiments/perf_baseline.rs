@@ -50,7 +50,7 @@ pub struct BaselineRow {
     pub pivot_selections: u64,
     /// Bytes crossing the shuffle across all jobs.
     pub shuffle_bytes: u64,
-    /// Records crossing the shuffle across all jobs (post-combine).
+    /// Records crossing the shuffle across all jobs.
     pub shuffle_records: u64,
     /// Recall against the nested-loop oracle (1.0 for exact algorithms).
     pub recall: f64,

@@ -4,10 +4,11 @@
 //! The paper's cluster experiments use 0.58M–14.5M-object datasets, 2000–8000
 //! pivots and 9–36 Hadoop nodes.  The harness keeps every *sweep* and every
 //! *reported column* identical but scales sizes down by roughly three orders
-//! of magnitude so the full suite completes in minutes; `DESIGN.md` §4 lists
-//! the mapping.  Absolute numbers therefore differ from the paper; the shapes
-//! (which algorithm wins, how metrics move with each parameter) are the
-//! reproduction target and are recorded in `EXPERIMENTS.md`.
+//! of magnitude so the full suite completes in minutes;
+//! [`workloads::ExperimentScale`] holds the mapping.  Absolute numbers
+//! therefore differ from the paper; the shapes (which algorithm wins, how
+//! metrics move with each parameter) are the reproduction target — see the
+//! README section "Reproducing the paper's experiments".
 //!
 //! Run `cargo run --release -p bench --bin experiments -- all` to regenerate
 //! everything, or pass an experiment id (`table2`, `fig8`, ...) for one

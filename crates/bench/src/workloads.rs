@@ -9,7 +9,8 @@ use std::sync::Arc;
 /// How large the experiment inputs are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
-    /// Sizes used for the committed `EXPERIMENTS.md` numbers (minutes to run).
+    /// Sizes used for the README's "Reproducing the paper's experiments" runs
+    /// and the committed full-scale `BENCH_*.json` baselines (minutes to run).
     Full,
     /// Much smaller sizes used by unit tests and smoke runs (seconds).
     Quick,

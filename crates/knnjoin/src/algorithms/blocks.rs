@@ -11,9 +11,7 @@ use crate::algorithms::common::{counters, EncodedRecord, NeighborListValue};
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::{JoinError, JoinRow};
 use geom::{Neighbor, RecordKind};
-use mapreduce::{
-    ByteSize, Combiner, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
-};
+use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::time::Instant;
 
 /// Number of blocks per dataset for a given reducer budget: `⌊√N⌋`, at least 1.
@@ -76,25 +74,6 @@ impl Mapper for MergeMapper {
     }
 }
 
-/// Map-side combiner of the merge job: collapse the partial candidate lists a
-/// map task holds for one `R` object into a single `k`-bounded list before
-/// they cross the shuffle.  Top-`k` merging is associative, so the
-/// [`MergeReducer`] produces the same final list either way.
-pub(crate) struct MergeCombiner {
-    pub k: usize,
-}
-
-impl Combiner for MergeCombiner {
-    type K = u64;
-    type V = NeighborListValue;
-
-    fn combine(&self, _key: &u64, values: &[NeighborListValue]) -> Vec<NeighborListValue> {
-        vec![NeighborListValue::new(
-            crate::algorithms::common::merge_neighbor_lists(values, self.k),
-        )]
-    }
-}
-
 /// Reducer of the merge job: keep the `k` globally best candidates per `R`
 /// object.
 pub(crate) struct MergeReducer {
@@ -123,16 +102,13 @@ impl Reducer for MergeReducer {
 /// Runs the two MapReduce jobs of the block framework with the supplied
 /// per-cell join reducer, filling in phase timings, shuffle volume and
 /// counters for *both* jobs.  `workers` is the physical pool size from the
-/// caller's execution context; when `combiner` is set, the merge job runs the
-/// [`MergeCombiner`] map-side so only `k`-bounded lists cross its shuffle.
-#[allow(clippy::too_many_arguments)]
+/// caller's execution context.
 pub(crate) fn run_block_framework<Red>(
     input: Vec<(u64, EncodedRecord)>,
     k: usize,
     reducers: usize,
     map_tasks: usize,
     workers: usize,
-    combiner: bool,
     join_reducer: &Red,
     metrics: &mut JoinMetrics,
 ) -> Result<Vec<JoinRow>, JoinError>
@@ -159,18 +135,11 @@ where
 
     // ---- Merge job: combine the per-cell partial kNN lists ------------------
     let start = Instant::now();
-    let merge_input = join_job.output;
-    let merge_combiner = MergeCombiner { k };
     let merge_job = JobBuilder::new("block-merge")
         .reducers(reducers)
         .map_tasks(map_tasks)
         .workers(workers)
-        .run_with_optional_combiner(
-            merge_input,
-            &MergeMapper,
-            combiner.then_some(&merge_combiner),
-            &MergeReducer { k },
-        )
+        .run(join_job.output, &MergeMapper, &MergeReducer { k })
         .map_err(|e| JoinError::substrate("block-merge", e))?;
     metrics.record_phase(phases::RESULT_MERGING, start.elapsed());
     metrics.absorb_job(&merge_job.metrics);
@@ -180,14 +149,6 @@ where
         .into_iter()
         .map(|(r_id, neighbors)| JoinRow { r_id, neighbors })
         .collect())
-}
-
-/// Sanity helper: the value types shuffled by the block jobs implement
-/// [`ByteSize`], so adding fields without updating the size accounting will
-/// show up in tests.
-#[allow(dead_code)]
-fn assert_value_types_are_sized(v: &EncodedRecord, n: &NeighborListValue) -> usize {
-    v.byte_size() + n.byte_size()
 }
 
 #[cfg(test)]

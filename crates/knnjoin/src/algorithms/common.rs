@@ -108,10 +108,6 @@ pub fn merge_neighbor_lists(lists: &[NeighborListValue], k: usize) -> Vec<Neighb
     acc.into_sorted()
 }
 
-/// The key type of the merge job: the id of the `R` object.
-#[allow(dead_code)]
-pub type RKey = PointId;
-
 /// One partition's objects in flat structure-of-data layout: coordinate rows
 /// in a contiguous [`CoordMatrix`] with ids and pivot distances in parallel
 /// vectors.  This is what the Algorithm 3 reducers scan: the candidate loop

@@ -41,10 +41,6 @@ pub struct HbrjConfig {
     pub map_tasks: usize,
     /// R-tree fanout used by the per-reducer index.
     pub rtree_fanout: usize,
-    /// Whether the merge job pre-merges each map task's partial kNN lists
-    /// map-side (a top-`k` combiner) before they cross the shuffle.  Enabled
-    /// by default.
-    pub combiner: bool,
 }
 
 impl Default for HbrjConfig {
@@ -53,7 +49,6 @@ impl Default for HbrjConfig {
             reducers: 4,
             map_tasks: 8,
             rtree_fanout: RTree::DEFAULT_FANOUT,
-            combiner: true,
         }
     }
 }
@@ -136,7 +131,6 @@ impl KnnJoinAlgorithm for Hbrj {
             self.config.reducers,
             self.config.map_tasks,
             ctx.workers(),
-            self.config.combiner,
             &reducer,
             &mut metrics,
         )?;

@@ -43,10 +43,6 @@ pub struct PbjConfig {
     pub reducers: usize,
     /// Number of map tasks.
     pub map_tasks: usize,
-    /// Whether the merge job pre-merges each map task's partial kNN lists
-    /// map-side (a top-`k` combiner) before they cross the shuffle.  Enabled
-    /// by default.
-    pub combiner: bool,
     /// Seed for pivot selection.
     pub seed: u64,
 }
@@ -59,7 +55,6 @@ impl Default for PbjConfig {
             pivot_sample_size: 10_000,
             reducers: 4,
             map_tasks: 8,
-            combiner: true,
             seed: 0xC0FFEE,
         }
     }
@@ -181,7 +176,6 @@ impl KnnJoinAlgorithm for Pbj {
             cfg.reducers,
             cfg.map_tasks,
             ctx.workers(),
-            cfg.combiner,
             &reducer,
             &mut metrics,
         )?;

@@ -29,7 +29,7 @@ use crate::result::{JoinError, JoinResult, JoinRow};
 use crate::summary::SummaryTables;
 use geom::{DistanceMetric, Neighbor, Point, PointSet, RecordKind};
 use mapreduce::{
-    ByteSize, Combiner, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
+    ByteSize, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,11 +50,6 @@ pub struct PgbjConfig {
     pub reducers: usize,
     /// Number of map tasks for both jobs.
     pub map_tasks: usize,
-    /// Whether job 1 runs its map-side combiner, batching each map task's
-    /// records per Voronoi partition before they cross the shuffle (the
-    /// paper's summary-statistics job pre-aggregates the same way).  Enabled
-    /// by default; disable to measure the uncombined shuffle volume.
-    pub combiner: bool,
     /// Seed for pivot selection (experiments fix it for reproducibility).
     pub seed: u64,
 }
@@ -68,7 +63,6 @@ impl Default for PgbjConfig {
             grouping_strategy: GroupingStrategy::Geometric,
             reducers: 4,
             map_tasks: 8,
-            combiner: true,
             seed: 0xC0FFEE,
         }
     }
@@ -145,19 +139,15 @@ impl KnnJoinAlgorithm for Pgbj {
         // ---- Job 1: Voronoi partitioning of R ∪ S -------------------------
         let start = Instant::now();
         let partitioner = Arc::new(VoronoiPartitioner::new(pivots.clone(), metric));
-        let job1_input = build_job1_input(r, s);
-        let job1_builder = JobBuilder::new("pgbj-partition")
+        let job1 = JobBuilder::new("pgbj-partition")
             .reducers(cfg.reducers)
             .map_tasks(cfg.map_tasks)
-            .workers(ctx.workers());
-        let job1_mapper = PartitionMapper {
-            partitioner: Arc::clone(&partitioner),
-        };
-        let job1 = job1_builder
-            .run_with_optional_combiner(
-                job1_input,
-                &job1_mapper,
-                cfg.combiner.then_some(&BatchCombiner),
+            .workers(ctx.workers())
+            .run(
+                build_job1_input(r, s, cfg.map_tasks),
+                &PartitionMapper {
+                    partitioner: Arc::clone(&partitioner),
+                },
                 &CollectPartitionReducer,
             )
             .map_err(|e| JoinError::substrate("pgbj-partition", e))?;
@@ -229,21 +219,32 @@ impl KnnJoinAlgorithm for Pgbj {
 // Job 1: partitioning
 // ---------------------------------------------------------------------------
 
-fn build_job1_input(r: &PointSet, s: &PointSet) -> Vec<(u64, EncodedRecord)> {
-    let mut input = Vec::with_capacity(r.len() + s.len());
-    for p in r {
-        input.push((p.id, EncodedRecord::from_parts(RecordKind::R, 0, 0.0, p)));
-    }
-    for p in s {
-        input.push((p.id, EncodedRecord::from_parts(RecordKind::S, 0, 0.0, p)));
-    }
-    input
+/// Job 1's input: the `|R| + |S|` encoded records cut into `map_tasks`
+/// contiguous chunks of `⌈(|R| + |S|) / map_tasks⌉` records, keyed by chunk
+/// index.  The engine cuts its map splits on the same boundaries, so each map
+/// task receives exactly one chunk.
+fn build_job1_input(
+    r: &PointSet,
+    s: &PointSet,
+    map_tasks: usize,
+) -> Vec<(u64, Vec<EncodedRecord>)> {
+    let n = r.len() + s.len();
+    let chunk = n.div_ceil(map_tasks.clamp(1, n.max(1))).max(1);
+    let mut records = r
+        .iter()
+        .map(|p| EncodedRecord::from_parts(RecordKind::R, 0, 0.0, p))
+        .chain(
+            s.iter()
+                .map(|p| EncodedRecord::from_parts(RecordKind::S, 0, 0.0, p)),
+        );
+    (0..n.div_ceil(chunk))
+        .map(|i| (i as u64, records.by_ref().take(chunk).collect()))
+        .collect()
 }
 
 /// The intermediate value of job 1: a batch of serialised records bound for
-/// one Voronoi partition.  Mappers emit singleton batches; the map-side
-/// [`BatchCombiner`] merges every batch a map task produced for the same
-/// partition into one, so the per-record shuffle framing is paid once per
+/// one Voronoi partition.  A map task ships one batch per partition its chunk
+/// touches, so the per-record shuffle framing is paid once per
 /// (task, partition) instead of once per object.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct RecordBatch(Vec<EncodedRecord>);
@@ -251,61 +252,49 @@ struct RecordBatch(Vec<EncodedRecord>);
 impl ByteSize for RecordBatch {
     fn byte_size(&self) -> usize {
         // Exactly the serialised records: the `Record` codec is
-        // self-delimiting, so a batch needs no extra framing and a singleton
-        // batch costs the same as shipping the bare record.  This keeps the
-        // combiner-off baseline comparable (its savings are real, not an
-        // artifact of batch framing).
+        // self-delimiting, so a batch needs no extra framing; the saving is
+        // the key each batch shares, not an artifact of batch framing.
         self.0.iter().map(ByteSize::byte_size).sum()
     }
 }
 
-/// Mapper of job 1: assign each object to its closest pivot via the pruned
-/// [`VoronoiPartitioner::nearest_pivot`], crediting the pivot-assignment
-/// counter with the distance computations actually spent (the pruned scan
-/// usually touches far fewer than `|P|` pivots).
+/// Mapper of job 1: assign each object of its chunk to its closest pivot via
+/// the pruned [`VoronoiPartitioner::nearest_pivot`], crediting the
+/// pivot-assignment counter with the distance computations actually spent
+/// (the pruned scan usually touches far fewer than `|P|` pivots), then emit
+/// one [`RecordBatch`] per touched partition, in partition order
+/// ("in-mapper combining").
 struct PartitionMapper {
     partitioner: Arc<VoronoiPartitioner>,
 }
 
 impl Mapper for PartitionMapper {
     type KIn = u64;
-    type VIn = EncodedRecord;
+    type VIn = Vec<EncodedRecord>;
     type KOut = u32;
     type VOut = RecordBatch;
 
-    fn map(&self, _key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, RecordBatch>) {
-        let record = value.decode();
-        let assignment = self.partitioner.nearest_pivot(&record.point.coords);
-        ctx.counters().add(
-            counters::PIVOT_ASSIGNMENT_COMPUTATIONS,
-            assignment.computations,
-        );
-        let out = EncodedRecord::from_parts(
-            record.kind,
-            assignment.partition as u32,
-            assignment.distance,
-            &record.point,
-        );
-        ctx.emit(assignment.partition as u32, RecordBatch(vec![out]));
-    }
-}
-
-/// Combiner of job 1: concatenate a map task's batches per partition.
-/// Batching is trivially associative, so the reducer sees the same records
-/// whether or not the combiner ran — only the shuffle framing shrinks.
-struct BatchCombiner;
-
-impl Combiner for BatchCombiner {
-    type K = u32;
-    type V = RecordBatch;
-
-    fn combine(&self, _key: &u32, values: &[RecordBatch]) -> Vec<RecordBatch> {
-        vec![RecordBatch(
-            values
-                .iter()
-                .flat_map(|batch| batch.0.iter().cloned())
-                .collect(),
-        )]
+    fn map(&self, _key: &u64, chunk: &Vec<EncodedRecord>, ctx: &mut MapContext<u32, RecordBatch>) {
+        let mut batches = vec![Vec::new(); self.partitioner.partition_count()];
+        let mut computations = 0;
+        for value in chunk {
+            let record = value.decode();
+            let assignment = self.partitioner.nearest_pivot(&record.point.coords);
+            computations += assignment.computations;
+            batches[assignment.partition].push(EncodedRecord::from_parts(
+                record.kind,
+                assignment.partition as u32,
+                assignment.distance,
+                &record.point,
+            ));
+        }
+        ctx.counters()
+            .add(counters::PIVOT_ASSIGNMENT_COMPUTATIONS, computations);
+        for (partition, batch) in batches.into_iter().enumerate() {
+            if !batch.is_empty() {
+                ctx.emit(partition as u32, RecordBatch(batch));
+            }
+        }
     }
 }
 
@@ -686,42 +675,65 @@ mod tests {
         }
     }
 
+    /// Test-side oracle of job 1's shuffle: cut `R ∪ S` into the engine's
+    /// `map_tasks` contiguous splits, assign every point to its closest
+    /// pivot, and count the distinct (split, cell) pairs — one batch each.
+    fn expected_job1_batches(
+        r: &PointSet,
+        s: &PointSet,
+        cfg: &PgbjConfig,
+        metric: DistanceMetric,
+    ) -> u64 {
+        let pivots = select_pivots(
+            r,
+            cfg.pivot_count,
+            cfg.pivot_strategy,
+            cfg.pivot_sample_size,
+            metric,
+            cfg.seed,
+        );
+        let partitioner = VoronoiPartitioner::new(pivots, metric);
+        let points: Vec<&Point> = r.iter().chain(s.iter()).collect();
+        let chunk = points.len().div_ceil(cfg.map_tasks.min(points.len()));
+        points
+            .chunks(chunk)
+            .map(|split| {
+                split
+                    .iter()
+                    .map(|p| partitioner.nearest_pivot(&p.coords).partition)
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .len() as u64
+            })
+            .sum()
+    }
+
     #[test]
-    fn job1_combiner_strictly_reduces_shuffle_volume() {
+    fn job1_ships_one_batch_per_map_task_and_cell() {
         let r = clustered(300, 2, 19);
         let s = clustered(300, 2, 20);
-        let with_combiner = |combiner: bool| {
-            Pgbj::new(PgbjConfig {
-                pivot_count: 20,
-                reducers: 4,
-                combiner,
-                ..Default::default()
-            })
-            .join(&r, &s, 5, DistanceMetric::Euclidean)
-            .unwrap()
+        let cfg = PgbjConfig {
+            pivot_count: 20,
+            reducers: 4,
+            ..Default::default()
         };
-        let combined = with_combiner(true);
-        let plain = with_combiner(false);
-        // Identical join output (same pivots, same partitioning)...
-        assert!(combined.matches(&plain, 0.0));
-        // ...but strictly fewer records and bytes cross the shuffle.
-        assert!(
-            combined.metrics.shuffle_records < plain.metrics.shuffle_records,
-            "combined {} vs plain {}",
-            combined.metrics.shuffle_records,
-            plain.metrics.shuffle_records
+        let metric = DistanceMetric::Euclidean;
+        let res = Pgbj::new(cfg.clone()).join(&r, &s, 5, metric).unwrap();
+        let exact = NestedLoopJoin.join(&r, &s, 5, metric).unwrap();
+        assert!(res.matches(&exact, 1e-9));
+
+        let m = &res.metrics;
+        let job1_batches = expected_job1_batches(&r, &s, &cfg, metric);
+        let job2_records = m.r_records_shuffled + m.s_records_shuffled;
+        assert!(job1_batches < 600, "batching merged nothing");
+        assert_eq!(m.shuffle_records, job1_batches + job2_records);
+        // Job 1 ships every record once plus one u32 cell key per batch; job
+        // 2 ships every routed record with its u32 group key.
+        let record_bytes =
+            geom::Record::new(RecordKind::R, 0, 0.0, r.points()[0].clone()).encoded_len() as u64;
+        assert_eq!(
+            m.shuffle_bytes,
+            600 * record_bytes + 4 * job1_batches + job2_records * (record_bytes + 4)
         );
-        assert!(
-            combined.metrics.shuffle_bytes < plain.metrics.shuffle_bytes,
-            "combined {} vs plain {}",
-            combined.metrics.shuffle_bytes,
-            plain.metrics.shuffle_bytes
-        );
-        // Every job-1 record entered the combiner; fewer batches left it.
-        assert_eq!(combined.metrics.combine_input_records, 600);
-        assert!(combined.metrics.combine_output_records < 600);
-        assert_eq!(plain.metrics.combine_input_records, 0);
-        assert_eq!(plain.metrics.combine_output_records, 0);
     }
 
     #[test]
@@ -731,19 +743,20 @@ mod tests {
         // silently dropped).
         let r = clustered(200, 2, 21);
         let s = clustered(250, 2, 22);
-        let res = Pgbj::new(PgbjConfig {
+        let cfg = PgbjConfig {
             pivot_count: 16,
             reducers: 4,
-            combiner: false, // one record per shuffled batch, easy to count
             ..Default::default()
-        })
-        .join(&r, &s, 5, DistanceMetric::Euclidean)
-        .unwrap();
+        };
+        let metric = DistanceMetric::Euclidean;
+        let res = Pgbj::new(cfg.clone()).join(&r, &s, 5, metric).unwrap();
         let m = &res.metrics;
-        // Job 1 ships |R| + |S| batches; job 2 ships the routed records.
-        let job1_records = (r.len() + s.len()) as u64;
+        // Job 1 ships one batch per (map task, cell); job 2 ships the routed
+        // records.
+        let job1_batches = expected_job1_batches(&r, &s, &cfg, metric);
         let job2_records = m.r_records_shuffled + m.s_records_shuffled;
-        assert_eq!(m.shuffle_records, job1_records + job2_records);
+        assert!(job1_batches < (r.len() + s.len()) as u64);
+        assert_eq!(m.shuffle_records, job1_batches + job2_records);
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //!    reducer sorts its slab's `S` subset by z-value and answers every local
 //!    `r` from its z-window, computing true distances to the candidates.
 //! 2. **`zknn-merge`** — the standard merge job (shared with H-BRJ/PBJ): the
-//!    `α` partial candidate lists of every `r` fold into the final top-`k`,
-//!    pre-merged map-side when the combiner knob is on.
+//!    `α` partial candidate lists of every `r` fold into the final top-`k`.
 //!
 //! Cost structure: `O(α·|R∪S|)` shuffled records and at most
 //! `α·2·z_window·k` distance computations per `R` object — a constant per
@@ -74,9 +73,6 @@ pub struct ZknnConfig {
     pub reducers: usize,
     /// Number of map tasks.
     pub map_tasks: usize,
-    /// Whether the merge job pre-merges each map task's partial candidate
-    /// lists map-side before they cross the shuffle.  Enabled by default.
-    pub combiner: bool,
     /// Seed for the random shift vectors.
     pub seed: u64,
 }
@@ -89,7 +85,6 @@ impl Default for ZknnConfig {
             z_window: 4,
             reducers: 4,
             map_tasks: 8,
-            combiner: true,
             seed: 0x5EED,
         }
     }
@@ -198,17 +193,11 @@ impl KnnJoinAlgorithm for Zknn {
 
         // ---- Job 2: merge the per-copy candidate lists ---------------------
         let start = Instant::now();
-        let merge_combiner = ZMergeCombiner { k };
         let merge_job = JobBuilder::new("zknn-merge")
             .reducers(cfg.reducers)
             .map_tasks(cfg.map_tasks)
             .workers(ctx.workers())
-            .run_with_optional_combiner(
-                join_job.output,
-                &MergeMapper,
-                cfg.combiner.then_some(&merge_combiner),
-                &ZMergeReducer { k },
-            )
+            .run(join_job.output, &MergeMapper, &ZMergeReducer { k })
             .map_err(|e| JoinError::substrate("zknn-merge", e))?;
         metrics.record_phase(phases::RESULT_MERGING, start.elapsed());
         metrics.absorb_job(&merge_job.metrics);
@@ -514,9 +503,8 @@ fn offer_window(
 /// Unlike the block algorithms' merge (where every `(r, s)` pair meets in
 /// exactly one reducer cell), H-zkNNJ can find the same `S` object in several
 /// shifted copies; keeping duplicates would crowd distinct candidates out of
-/// the top-`k`.  Deduplicating by id before bounding is associative — an id a
-/// partial merge drops is beaten by `k` distinct ids that all survive into
-/// the next round — so the map-side combiner applies the same function.
+/// the top-`k`, so ids are deduplicated (keeping the smallest distance)
+/// before bounding.
 pub(crate) fn merge_distinct_candidates(
     lists: &[NeighborListValue],
     k: usize,
@@ -537,23 +525,6 @@ pub(crate) fn merge_distinct_candidates(
         acc.offer(id, distance);
     }
     acc.into_sorted()
-}
-
-/// Map-side combiner of the merge job: fold the partial candidate lists a map
-/// task holds for one `R` object into one `k`-bounded distinct list.
-struct ZMergeCombiner {
-    k: usize,
-}
-
-impl mapreduce::Combiner for ZMergeCombiner {
-    type K = u64;
-    type V = NeighborListValue;
-
-    fn combine(&self, _key: &u64, values: &[NeighborListValue]) -> Vec<NeighborListValue> {
-        vec![NeighborListValue::new(merge_distinct_candidates(
-            values, self.k,
-        ))]
-    }
 }
 
 /// Reducer of the merge job: the `k` globally best distinct candidates.

@@ -59,7 +59,6 @@ pub struct JoinBuilder<'a> {
     shift_copies: usize,
     quantization_bits: u32,
     z_window: usize,
-    combiner: bool,
     seed: u64,
     delta_threshold: usize,
 }
@@ -85,7 +84,6 @@ impl<'a> JoinBuilder<'a> {
             shift_copies: defaults.shift_copies,
             quantization_bits: defaults.quantization_bits,
             z_window: defaults.z_window,
-            combiner: defaults.combiner,
             seed: defaults.seed,
             delta_threshold: DEFAULT_DELTA_THRESHOLD,
         }
@@ -177,15 +175,6 @@ impl<'a> JoinBuilder<'a> {
     /// unlike more `shift_copies`).
     pub fn z_window(mut self, multiplier: usize) -> Self {
         self.z_window = multiplier;
-        self
-    }
-
-    /// Enables or disables the map-side combiners (PGBJ's partitioning job,
-    /// the block algorithms' merge job).  On by default; disable to measure
-    /// the uncombined shuffle volume (byte accounting is framing-neutral, so
-    /// the difference is entirely the combiners' saving).
-    pub fn combiner(mut self, enabled: bool) -> Self {
-        self.combiner = enabled;
         self
     }
 
@@ -311,7 +300,6 @@ impl<'a> JoinBuilder<'a> {
             shift_copies: self.shift_copies,
             quantization_bits: self.quantization_bits,
             z_window: self.z_window,
-            combiner: self.combiner,
             seed: self.seed,
             delta_threshold: self.delta_threshold,
         })

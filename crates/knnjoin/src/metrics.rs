@@ -101,13 +101,8 @@ pub struct JoinMetrics {
     pub pivot_selections: u64,
     /// Total bytes crossing the shuffle, across all MapReduce jobs involved.
     pub shuffle_bytes: u64,
-    /// Total records crossing the shuffle (post-combine), across all jobs.
+    /// Total records crossing the shuffle, across all jobs.
     pub shuffle_records: u64,
-    /// Records fed into map-side combiners across all jobs (zero when the
-    /// algorithm ran without combiners).
-    pub combine_input_records: u64,
-    /// Records the combiners let through to the shuffle.
-    pub combine_output_records: u64,
     /// Distance computations spent scanning the S-delta memtable of a mutated
     /// [`crate::PreparedJoin`]; zero whenever the delta overlay is empty.
     pub delta_probe_computations: u64,
@@ -132,7 +127,7 @@ impl JoinMetrics {
     }
 
     /// Folds one MapReduce job's metrics into this join's totals: shuffle
-    /// volume, combiner throughput, and the join-level [`counters`].
+    /// volume and the join-level [`counters`].
     ///
     /// Multi-job algorithms call this once per job, so *every* job's cost is
     /// visible — PGBJ's partitioning job counts towards shuffling cost just
@@ -140,8 +135,6 @@ impl JoinMetrics {
     pub fn absorb_job(&mut self, job: &JobMetrics) {
         self.shuffle_bytes += job.shuffle_bytes;
         self.shuffle_records += job.shuffle_records;
-        self.combine_input_records += job.combine_input_records;
-        self.combine_output_records += job.combine_output_records;
         self.distance_computations += job.counters.get(counters::DISTANCE_COMPUTATIONS);
         self.pivot_assignment_computations +=
             job.counters.get(counters::PIVOT_ASSIGNMENT_COMPUTATIONS);
@@ -168,8 +161,6 @@ impl JoinMetrics {
         self.pivot_selections += other.pivot_selections;
         self.shuffle_bytes += other.shuffle_bytes;
         self.shuffle_records += other.shuffle_records;
-        self.combine_input_records += other.combine_input_records;
-        self.combine_output_records += other.combine_output_records;
         self.delta_probe_computations += other.delta_probe_computations;
         self.tombstone_masked += other.tombstone_masked;
         self.compactions += other.compactions;
@@ -267,8 +258,6 @@ mod tests {
         let job = JobMetrics {
             shuffle_records: 100,
             shuffle_bytes: 4_000,
-            combine_input_records: 150,
-            combine_output_records: 100,
             ..Default::default()
         };
         job.counters.add(counters::DISTANCE_COMPUTATIONS, 7);
@@ -281,8 +270,6 @@ mod tests {
         join.absorb_job(&job); // a second job of the same algorithm
         assert_eq!(join.shuffle_records, 200);
         assert_eq!(join.shuffle_bytes, 8_000);
-        assert_eq!(join.combine_input_records, 300);
-        assert_eq!(join.combine_output_records, 200);
         assert_eq!(join.distance_computations, 14);
         assert_eq!(join.pivot_assignment_computations, 10);
         assert_eq!(join.r_records_shuffled, 80);

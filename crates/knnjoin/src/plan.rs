@@ -136,10 +136,6 @@ pub struct JoinPlan {
     /// Candidate-window multiplier (H-zkNNJ): `z_window · k` z-neighbours per
     /// side per shifted copy.
     pub z_window: usize,
-    /// Whether map-side combiners run (PGBJ's partitioning job, the block
-    /// algorithms' merge job) to cut shuffle volume.  Shapes cold runs only;
-    /// prepared probes shuffle nothing.
-    pub combiner: bool,
     /// Seed driving pivot selection.
     pub seed: u64,
     /// Maximum resident delta-overlay size (adds + tombstones) of a
@@ -164,7 +160,6 @@ impl JoinPlan {
                 grouping_strategy: self.grouping_strategy,
                 reducers: self.reducers,
                 map_tasks: self.map_tasks,
-                combiner: self.combiner,
                 seed: self.seed,
             })),
             Algorithm::Pbj => Box::new(Pbj::new(PbjConfig {
@@ -173,14 +168,12 @@ impl JoinPlan {
                 pivot_sample_size: self.pivot_sample_size,
                 reducers: self.reducers,
                 map_tasks: self.map_tasks,
-                combiner: self.combiner,
                 seed: self.seed,
             })),
             Algorithm::Hbrj => Box::new(Hbrj::new(HbrjConfig {
                 reducers: self.reducers,
                 map_tasks: self.map_tasks,
                 rtree_fanout: self.rtree_fanout,
-                combiner: self.combiner,
             })),
             Algorithm::Zknn => Box::new(Zknn::new(ZknnConfig {
                 shift_copies: self.shift_copies,
@@ -188,7 +181,6 @@ impl JoinPlan {
                 z_window: self.z_window,
                 reducers: self.reducers,
                 map_tasks: self.map_tasks,
-                combiner: self.combiner,
                 seed: self.seed,
             })),
             Algorithm::BroadcastJoin => Box::new(BroadcastJoin::new(BroadcastJoinConfig {
@@ -234,7 +226,6 @@ impl Default for JoinPlan {
             shift_copies: zknn.shift_copies,
             quantization_bits: zknn.quantization_bits,
             z_window: zknn.z_window,
-            combiner: pgbj.combiner,
             seed: pgbj.seed,
             delta_threshold: DEFAULT_DELTA_THRESHOLD,
         }

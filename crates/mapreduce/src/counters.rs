@@ -13,19 +13,13 @@ use std::sync::Arc;
 /// user counters the tasks increment.  The `mr.` prefix keeps them from
 /// colliding with user counter names.
 ///
-/// These mirror Hadoop's built-in job counters: `REDUCE_SHUFFLE_BYTES`,
-/// `COMBINE_INPUT_RECORDS` and `COMBINE_OUTPUT_RECORDS` are the numbers the
-/// paper's shuffling-cost analysis reads off the job tracker.
+/// These mirror Hadoop's built-in job counters: `REDUCE_SHUFFLE_BYTES` is the
+/// number the paper's shuffling-cost analysis reads off the job tracker.
 pub mod builtin {
-    /// Intermediate pairs that actually crossed the shuffle (post-combine).
+    /// Intermediate pairs that crossed the shuffle.
     pub const SHUFFLE_RECORDS: &str = "mr.shuffle_records";
-    /// Bytes that actually crossed the shuffle (post-combine), per
-    /// [`crate::ByteSize`] accounting.
+    /// Bytes that crossed the shuffle, per [`crate::ByteSize`] accounting.
     pub const SHUFFLE_BYTES: &str = "mr.shuffle_bytes";
-    /// Pairs fed into the map-side combiner (zero when no combiner is set).
-    pub const COMBINE_INPUT_RECORDS: &str = "mr.combine_input_records";
-    /// Pairs the combiner emitted towards the shuffle.
-    pub const COMBINE_OUTPUT_RECORDS: &str = "mr.combine_output_records";
 }
 
 /// A set of named, thread-safe, monotonically increasing counters.

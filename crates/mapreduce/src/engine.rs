@@ -1,16 +1,14 @@
 //! The job execution engine.
 //!
-//! [`run_job`] (or the more convenient [`JobBuilder`]) executes a full
-//! MapReduce job in-process:
+//! [`JobBuilder`] executes a full MapReduce job in-process:
 //!
 //! 1. the input pairs are divided into map splits,
 //! 2. map tasks run in parallel on a bounded worker pool (sized by the
 //!    caller's execution context, defaulting to the machine's parallelism);
 //!    each task hash-routes every pair it emits into a **per-task,
-//!    per-reduce-partition buffer** using the job's [`Partitioner`], runs the
-//!    optional [`Combiner`] over each buffer, and accounts the byte size of
-//!    everything that survives towards the shuffle (mirroring Hadoop's
-//!    partitioned spill files and map-side combine),
+//!    per-reduce-partition buffer** using the job's [`Partitioner`] and
+//!    accounts the byte size of each pair towards the shuffle in the same
+//!    pass (mirroring Hadoop's partitioned spill files),
 //! 3. the shuffle hands each reduce partition the buffers every map task
 //!    produced for it — a transpose of already-routed buffers, with no
 //!    global materialisation and no global sort,
@@ -18,7 +16,7 @@
 //!    buffers into sorted key groups (Hadoop's sort/group guarantee, now
 //!    performed inside the parallel region) and runs the [`Reducer`], and
 //! 5. per-phase timings, shuffle volume and counters (including the built-in
-//!    [`crate::counters::builtin`] shuffle/combine counters) are reported as
+//!    [`crate::counters::builtin`] shuffle counters) are reported as
 //!    [`JobMetrics`].
 //!
 //! Output order is deterministic regardless of the worker-pool size: reduce
@@ -27,10 +25,7 @@
 
 use crate::bytesize::ByteSize;
 use crate::counters::{builtin, Counters};
-use crate::job::{
-    Combiner, HashPartitioner, IdentityCombiner, MapContext, Mapper, Partitioner, ReduceContext,
-    Reducer,
-};
+use crate::job::{HashPartitioner, MapContext, Mapper, Partitioner, ReduceContext, Reducer};
 use crate::metrics::{JobMetrics, PhaseTimings};
 use crate::sync::{ranks, RankedMutex};
 use std::collections::{BTreeMap, VecDeque};
@@ -112,8 +107,8 @@ impl std::fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// One reduce partition's share of one map task's output: the routed (and
-/// possibly combined) pairs plus their shuffle byte volume.
+/// One reduce partition's share of one map task's output: the routed pairs
+/// plus their shuffle byte volume.
 type PartitionBuffer<K, V> = (Vec<(K, V)>, u64);
 
 /// Everything one reduce partition receives: one routed buffer per map task,
@@ -251,299 +246,131 @@ impl JobBuilder {
         R: Reducer<KIn = M::KOut, VIn = M::VOut>,
         P: Partitioner<M::KOut>,
     {
-        run_job_with_combiner(
-            &self.name,
-            input,
-            mapper,
-            None::<&IdentityCombiner<M::KOut, M::VOut>>,
-            reducer,
-            partitioner,
-            self.num_reducers,
-            self.num_map_tasks,
-            self.workers,
-        )
-    }
-
-    /// Runs the job with a map-side [`Combiner`] and the default
-    /// [`HashPartitioner`].
-    ///
-    /// # Errors
-    /// Returns [`JobError`] if the configuration is invalid.
-    pub fn run_with_combiner<M, C, R>(
-        &self,
-        input: Vec<(M::KIn, M::VIn)>,
-        mapper: &M,
-        combiner: &C,
-        reducer: &R,
-    ) -> Result<JobOutput<R::KOut, R::VOut>, JobError>
-    where
-        M: Mapper,
-        C: Combiner<K = M::KOut, V = M::VOut>,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
-        self.run_with_optional_combiner(input, mapper, Some(combiner), reducer)
-    }
-
-    /// Runs the job with the default [`HashPartitioner`] and a combiner that
-    /// may or may not be present — the `Option` mirrors a runtime
-    /// "combiner on/off" knob so call sites don't branch between
-    /// [`JobBuilder::run`] and [`JobBuilder::run_with_combiner`].
-    ///
-    /// # Errors
-    /// Returns [`JobError`] if the configuration is invalid.
-    pub fn run_with_optional_combiner<M, C, R>(
-        &self,
-        input: Vec<(M::KIn, M::VIn)>,
-        mapper: &M,
-        combiner: Option<&C>,
-        reducer: &R,
-    ) -> Result<JobOutput<R::KOut, R::VOut>, JobError>
-    where
-        M: Mapper,
-        C: Combiner<K = M::KOut, V = M::VOut>,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
-        run_job_with_combiner(
-            &self.name,
-            input,
-            mapper,
-            combiner,
-            reducer,
-            &HashPartitioner,
-            self.num_reducers,
-            self.num_map_tasks,
-            self.workers,
-        )
-    }
-}
-
-/// Executes a MapReduce job.  Prefer [`JobBuilder`] for readability.
-///
-/// # Errors
-/// Returns [`JobError`] if `num_reducers` is zero or an explicit
-/// `num_map_tasks` of zero is requested.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job<M, R, P>(
-    name: &str,
-    input: Vec<(M::KIn, M::VIn)>,
-    mapper: &M,
-    reducer: &R,
-    partitioner: &P,
-    num_reducers: usize,
-    num_map_tasks: Option<usize>,
-) -> Result<JobOutput<R::KOut, R::VOut>, JobError>
-where
-    M: Mapper,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    P: Partitioner<M::KOut>,
-{
-    run_job_with_combiner(
-        name,
-        input,
-        mapper,
-        None::<&IdentityCombiner<M::KOut, M::VOut>>,
-        reducer,
-        partitioner,
-        num_reducers,
-        num_map_tasks,
-        None,
-    )
-}
-
-/// Executes a MapReduce job with an optional map-side combiner.
-///
-/// When a combiner is supplied, each map task groups its own output by key and
-/// runs the combiner before anything is handed to the shuffle; the reported
-/// `shuffle_records` / `shuffle_bytes` reflect the combined (smaller) volume,
-/// just like Hadoop's "reduce shuffle bytes" counter.
-///
-/// # Errors
-/// Returns [`JobError`] if `num_reducers` is zero or an explicit
-/// `num_map_tasks` of zero is requested.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_with_combiner<M, C, R, P>(
-    name: &str,
-    input: Vec<(M::KIn, M::VIn)>,
-    mapper: &M,
-    combiner: Option<&C>,
-    reducer: &R,
-    partitioner: &P,
-    num_reducers: usize,
-    num_map_tasks: Option<usize>,
-    workers: Option<usize>,
-) -> Result<JobOutput<R::KOut, R::VOut>, JobError>
-where
-    M: Mapper,
-    C: Combiner<K = M::KOut, V = M::VOut>,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    P: Partitioner<M::KOut>,
-{
-    if num_reducers == 0 {
-        return Err(JobError::NoReducers);
-    }
-    let requested_map_tasks = num_map_tasks.unwrap_or_else(|| num_reducers.max(1));
-    if requested_map_tasks == 0 {
-        return Err(JobError::NoMapTasks);
-    }
-    let workers = workers.unwrap_or_else(default_workers).max(1);
-
-    let counters = Counters::new();
-    let input_records = input.len() as u64;
-
-    // ---- Map phase -------------------------------------------------------
-    // Each map task hash-routes its own output into one buffer per reduce
-    // partition and combines each buffer in place, so all per-record shuffle
-    // work (routing, combining, byte accounting) happens inside the parallel
-    // region — the analogue of Hadoop's partitioned, combined spill files.
-    let map_start = Instant::now();
-    let splits = make_splits(input, requested_map_tasks);
-    let map_tasks = splits.len().max(1);
-    let map_results: Vec<Vec<PartitionBuffer<M::KOut, M::VOut>>> =
-        parallel_map(splits, workers, |task_id, split| {
-            let mut ctx = MapContext::new(task_id, counters.clone());
-            mapper.setup(&mut ctx);
-            for (k, v) in &split {
-                mapper.map(k, v, &mut ctx);
-            }
-            mapper.cleanup(&mut ctx);
-            route_and_combine(ctx.emitted, combiner, partitioner, num_reducers, &counters)
-        });
-    let map_time = map_start.elapsed();
-
-    // ---- Shuffle phase ----------------------------------------------------
-    // The pairs are already routed; the shuffle is a transpose that hands
-    // partition `p` the buffer every map task produced for it, moving whole
-    // buffers rather than records.
-    let shuffle_start = Instant::now();
-    let mut shuffle_records = 0u64;
-    let mut shuffle_bytes = 0u64;
-    let mut partition_inputs: Vec<PartitionInput<M::KOut, M::VOut>> = (0..num_reducers)
-        .map(|_| Vec::with_capacity(map_tasks))
-        .collect();
-    for task_buffers in map_results {
-        for (p, (buffer, bytes)) in task_buffers.into_iter().enumerate() {
-            shuffle_records += buffer.len() as u64;
-            shuffle_bytes += bytes;
-            partition_inputs[p].push(buffer);
+        let num_reducers = self.num_reducers;
+        if num_reducers == 0 {
+            return Err(JobError::NoReducers);
         }
-    }
-    counters.add(builtin::SHUFFLE_RECORDS, shuffle_records);
-    counters.add(builtin::SHUFFLE_BYTES, shuffle_bytes);
-    let shuffle_time = shuffle_start.elapsed();
+        let requested_map_tasks = self.num_map_tasks.unwrap_or_else(|| num_reducers.max(1));
+        if requested_map_tasks == 0 {
+            return Err(JobError::NoMapTasks);
+        }
+        let workers = self.workers.unwrap_or_else(default_workers).max(1);
 
-    // ---- Reduce phase ------------------------------------------------------
-    // Each reduce task merges the buffers it received into sorted key groups
-    // (the sort/group guarantee) and runs the reducer — grouping happens per
-    // partition inside the parallel region instead of globally up front.
-    let reduce_start = Instant::now();
-    let reduce_outputs: Vec<Vec<(R::KOut, R::VOut)>> =
-        parallel_map(partition_inputs, workers, |task_id, buffers| {
-            let mut groups: BTreeMap<M::KOut, Vec<M::VOut>> = BTreeMap::new();
-            for buffer in buffers {
-                for (k, v) in buffer {
-                    groups.entry(k).or_default().push(v);
+        let counters = Counters::new();
+        let input_records = input.len() as u64;
+
+        // ---- Map phase -------------------------------------------------------
+        // Each map task hash-routes its own output into one buffer per reduce
+        // partition and accounts its bytes, so all per-record shuffle work
+        // happens inside the parallel region — the analogue of Hadoop's
+        // partitioned spill files.
+        let map_start = Instant::now();
+        let splits = make_splits(input, requested_map_tasks);
+        let map_tasks = splits.len().max(1);
+        let map_results: Vec<Vec<PartitionBuffer<M::KOut, M::VOut>>> =
+            parallel_map(splits, workers, |task_id, split| {
+                let mut ctx = MapContext::new(task_id, counters.clone());
+                mapper.setup(&mut ctx);
+                for (k, v) in &split {
+                    mapper.map(k, v, &mut ctx);
                 }
-            }
-            let mut ctx = ReduceContext::new(task_id, counters.clone());
-            reducer.setup(&mut ctx);
-            for (k, vs) in &groups {
-                reducer.reduce(k, vs, &mut ctx);
-            }
-            reducer.cleanup(&mut ctx);
-            ctx.emitted
-        });
-    let reduce_time = reduce_start.elapsed();
+                mapper.cleanup(&mut ctx);
+                route(ctx.emitted, partitioner, num_reducers)
+            });
+        let map_time = map_start.elapsed();
 
-    let mut output = Vec::new();
-    for mut part in reduce_outputs {
-        output.append(&mut part);
+        // ---- Shuffle phase ----------------------------------------------------
+        // The pairs are already routed; the shuffle is a transpose that hands
+        // partition `p` the buffer every map task produced for it, moving whole
+        // buffers rather than records.
+        let shuffle_start = Instant::now();
+        let mut shuffle_records = 0u64;
+        let mut shuffle_bytes = 0u64;
+        let mut partition_inputs: Vec<PartitionInput<M::KOut, M::VOut>> = (0..num_reducers)
+            .map(|_| Vec::with_capacity(map_tasks))
+            .collect();
+        for task_buffers in map_results {
+            for (p, (buffer, bytes)) in task_buffers.into_iter().enumerate() {
+                shuffle_records += buffer.len() as u64;
+                shuffle_bytes += bytes;
+                partition_inputs[p].push(buffer);
+            }
+        }
+        counters.add(builtin::SHUFFLE_RECORDS, shuffle_records);
+        counters.add(builtin::SHUFFLE_BYTES, shuffle_bytes);
+        let shuffle_time = shuffle_start.elapsed();
+
+        // ---- Reduce phase ------------------------------------------------------
+        // Each reduce task merges the buffers it received into sorted key groups
+        // (the sort/group guarantee) and runs the reducer — grouping happens per
+        // partition inside the parallel region instead of globally up front.
+        let reduce_start = Instant::now();
+        let reduce_outputs: Vec<Vec<(R::KOut, R::VOut)>> =
+            parallel_map(partition_inputs, workers, |task_id, buffers| {
+                let mut groups: BTreeMap<M::KOut, Vec<M::VOut>> = BTreeMap::new();
+                for buffer in buffers {
+                    for (k, v) in buffer {
+                        groups.entry(k).or_default().push(v);
+                    }
+                }
+                let mut ctx = ReduceContext::new(task_id, counters.clone());
+                reducer.setup(&mut ctx);
+                for (k, vs) in &groups {
+                    reducer.reduce(k, vs, &mut ctx);
+                }
+                reducer.cleanup(&mut ctx);
+                ctx.emitted
+            });
+        let reduce_time = reduce_start.elapsed();
+
+        let mut output = Vec::new();
+        for mut part in reduce_outputs {
+            output.append(&mut part);
+        }
+
+        let metrics = JobMetrics {
+            job_name: self.name.clone(),
+            map_tasks,
+            reduce_tasks: num_reducers,
+            input_records,
+            shuffle_records,
+            shuffle_bytes,
+            output_records: output.len() as u64,
+            timings: PhaseTimings {
+                map: map_time,
+                shuffle: shuffle_time,
+                reduce: reduce_time,
+            },
+            counters,
+        };
+
+        Ok(JobOutput { output, metrics })
     }
-
-    let metrics = JobMetrics {
-        job_name: name.to_string(),
-        map_tasks,
-        reduce_tasks: num_reducers,
-        input_records,
-        shuffle_records,
-        shuffle_bytes,
-        combine_input_records: counters.get(builtin::COMBINE_INPUT_RECORDS),
-        combine_output_records: counters.get(builtin::COMBINE_OUTPUT_RECORDS),
-        output_records: output.len() as u64,
-        timings: PhaseTimings {
-            map: map_time,
-            shuffle: shuffle_time,
-            reduce: reduce_time,
-        },
-        counters,
-    };
-
-    Ok(JobOutput { output, metrics })
 }
 
-/// Routes one map task's output into one buffer per reduce partition, applies
-/// the optional combiner to each buffer, and accounts the shuffle bytes of
-/// whatever survives.  Runs inside the map task, so routing and combining are
-/// parallel across map tasks.
-fn route_and_combine<K, V, C, P>(
+/// Routes one map task's output into one buffer per reduce partition and
+/// accounts each buffer's shuffle bytes in the same pass.  Runs inside the map
+/// task, so routing is parallel across map tasks.
+fn route<K, V, P>(
     emitted: Vec<(K, V)>,
-    combiner: Option<&C>,
     partitioner: &P,
     num_reducers: usize,
-    counters: &Counters,
 ) -> Vec<PartitionBuffer<K, V>>
 where
-    K: Clone + Ord + ByteSize,
-    V: Clone + ByteSize,
-    C: Combiner<K = K, V = V>,
+    K: ByteSize,
+    V: ByteSize,
     P: Partitioner<K>,
 {
-    let mut buffers: Vec<Vec<(K, V)>> = (0..num_reducers).map(|_| Vec::new()).collect();
-    // Without a combiner the routed pairs cross the shuffle as-is, so their
-    // bytes are accounted in this same pass; with one, the accounting has to
-    // wait for the (smaller) combined buffer below.
-    let mut routed_bytes = vec![0u64; num_reducers];
+    let mut buffers: Vec<PartitionBuffer<K, V>> =
+        (0..num_reducers).map(|_| (Vec::new(), 0)).collect();
     for (k, v) in emitted {
         let p = partitioner.partition(&k, num_reducers);
         debug_assert!(p < num_reducers, "partitioner returned out-of-range index");
-        let p = p.min(num_reducers - 1);
-        if combiner.is_none() {
-            routed_bytes[p] += (k.byte_size() + v.byte_size()) as u64;
-        }
-        buffers[p].push((k, v));
+        let (buffer, bytes) = &mut buffers[p.min(num_reducers - 1)];
+        *bytes += (k.byte_size() + v.byte_size()) as u64;
+        buffer.push((k, v));
     }
     buffers
-        .into_iter()
-        .zip(routed_bytes)
-        .map(|(buffer, bytes)| match combiner {
-            Some(c) if !buffer.is_empty() => {
-                counters.add(builtin::COMBINE_INPUT_RECORDS, buffer.len() as u64);
-                let combined = apply_combiner(c, buffer);
-                counters.add(builtin::COMBINE_OUTPUT_RECORDS, combined.len() as u64);
-                let bytes = combined
-                    .iter()
-                    .map(|(k, v)| (k.byte_size() + v.byte_size()) as u64)
-                    .sum();
-                (combined, bytes)
-            }
-            _ => (buffer, bytes),
-        })
-        .collect()
-}
-
-/// Groups one partition buffer by key and applies the combiner, keeping keys
-/// in sorted order.
-fn apply_combiner<C: Combiner>(combiner: &C, buffer: Vec<(C::K, C::V)>) -> Vec<(C::K, C::V)> {
-    let mut grouped: BTreeMap<C::K, Vec<C::V>> = BTreeMap::new();
-    for (k, v) in buffer {
-        grouped.entry(k).or_default().push(v);
-    }
-    let mut combined = Vec::new();
-    for (k, vs) in grouped {
-        for v in combiner.combine(&k, &vs) {
-            combined.push((k.clone(), v));
-        }
-    }
-    combined
 }
 
 /// Splits the input into at most `n` contiguous, near-equal chunks.
@@ -778,62 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn combiner_reduces_shuffle_volume_without_changing_results() {
-        /// Sums partial counts on the map side.
-        struct SumCombiner;
-        impl Combiner for SumCombiner {
-            type K = u64;
-            type V = u64;
-            fn combine(&self, _k: &u64, values: &[u64]) -> Vec<u64> {
-                vec![values.iter().sum()]
-            }
-        }
-        let input = pairs(1000); // keys 0..10, 100 values each
-        let plain = JobBuilder::new("plain")
-            .reducers(4)
-            .map_tasks(4)
-            .run(input.clone(), &IdMap, &SumRed)
-            .unwrap();
-        let combined = JobBuilder::new("combined")
-            .reducers(4)
-            .map_tasks(4)
-            .run_with_combiner(input, &IdMap, &SumCombiner, &SumRed)
-            .unwrap();
-
-        let mut a = plain.output.clone();
-        let mut b = combined.output.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "combiner must not change the reduce output");
-        // 4 map tasks × 10 keys = 40 combined records instead of 1000.
-        assert_eq!(combined.metrics.shuffle_records, 40);
-        assert_eq!(plain.metrics.shuffle_records, 1000);
-        assert!(combined.metrics.shuffle_bytes < plain.metrics.shuffle_bytes);
-    }
-
-    #[test]
-    fn identity_combiner_is_a_no_op() {
-        let input = pairs(200);
-        let plain = JobBuilder::new("plain")
-            .reducers(3)
-            .map_tasks(3)
-            .run(input.clone(), &IdMap, &SumRed)
-            .unwrap();
-        let ident = JobBuilder::new("ident")
-            .reducers(3)
-            .map_tasks(3)
-            .run_with_combiner(input, &IdMap, &IdentityCombiner::new(), &SumRed)
-            .unwrap();
-        let mut a = plain.output;
-        let mut b = ident.output;
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        assert_eq!(plain.metrics.shuffle_records, ident.metrics.shuffle_records);
-        assert_eq!(plain.metrics.shuffle_bytes, ident.metrics.shuffle_bytes);
-    }
-
-    #[test]
     fn explicit_worker_counts_do_not_change_results() {
         let input = pairs(300);
         let mut expect: Vec<(u64, u64)> = JobBuilder::new("w1")
@@ -917,105 +688,16 @@ mod tests {
     }
 
     #[test]
-    fn builtin_counters_track_shuffle_and_combine_volume() {
-        /// Sums partial counts on the map side.
-        struct SumCombiner;
-        impl Combiner for SumCombiner {
-            type K = u64;
-            type V = u64;
-            fn combine(&self, _k: &u64, values: &[u64]) -> Vec<u64> {
-                vec![values.iter().sum()]
-            }
-        }
-        let input = pairs(600); // keys 0..10
-        let plain = JobBuilder::new("plain")
+    fn builtin_counters_track_shuffle_volume() {
+        let out = JobBuilder::new("plain")
             .reducers(4)
             .map_tasks(3)
-            .run(input.clone(), &IdMap, &SumRed)
+            .run(pairs(600), &IdMap, &SumRed)
             .unwrap();
-        let combined = JobBuilder::new("combined")
-            .reducers(4)
-            .map_tasks(3)
-            .run_with_combiner(input, &IdMap, &SumCombiner, &SumRed)
-            .unwrap();
-
-        // Without a combiner the combine counters stay untouched.
-        let pc = &plain.metrics.counters;
-        assert_eq!(pc.get(builtin::COMBINE_INPUT_RECORDS), 0);
-        assert_eq!(pc.get(builtin::COMBINE_OUTPUT_RECORDS), 0);
-        assert_eq!(plain.metrics.combine_input_records, 0);
-        assert_eq!(pc.get(builtin::SHUFFLE_RECORDS), 600);
-        assert_eq!(pc.get(builtin::SHUFFLE_BYTES), plain.metrics.shuffle_bytes);
-
-        // With a combiner: everything the mappers emitted entered the
-        // combiner, fewer records left it, and the shuffle counters reflect
-        // the post-combine volume.
-        let m = &combined.metrics;
-        assert_eq!(m.combine_input_records, 600);
-        assert_eq!(m.combine_output_records, 3 * 10); // tasks × keys
-        assert_eq!(m.counters.get(builtin::COMBINE_INPUT_RECORDS), 600);
-        assert_eq!(m.counters.get(builtin::COMBINE_OUTPUT_RECORDS), 30);
+        let m = &out.metrics;
+        assert_eq!(m.counters.get(builtin::SHUFFLE_RECORDS), 600);
         assert_eq!(m.counters.get(builtin::SHUFFLE_RECORDS), m.shuffle_records);
         assert_eq!(m.counters.get(builtin::SHUFFLE_BYTES), m.shuffle_bytes);
-        assert!(m.shuffle_bytes < plain.metrics.shuffle_bytes);
-    }
-
-    mod combiner_properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// Sums partial counts on the map side (an associative, commutative
-        /// reduction, the combiner contract).
-        struct SumCombiner;
-        impl Combiner for SumCombiner {
-            type K = u64;
-            type V = u64;
-            fn combine(&self, _k: &u64, values: &[u64]) -> Vec<u64> {
-                vec![values.iter().sum()]
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-            /// The combiner contract: for an associative reduction, running
-            /// the combiner map-side must not change the reduce output, for
-            /// any input and any task topology — while never increasing the
-            /// shuffle volume.
-            #[test]
-            fn combining_is_transparent_to_the_reducer(
-                raw in proptest::collection::vec(0u64..1000, 0..300),
-                map_tasks in 1usize..12,
-                reducers in 1usize..8,
-                workers in 1usize..6,
-            ) {
-                let values: Vec<(u64, u64)> = raw.into_iter().map(|v| (v % 20, v)).collect();
-                let plain = JobBuilder::new("plain")
-                    .reducers(reducers)
-                    .map_tasks(map_tasks)
-                    .workers(workers)
-                    .run(values.clone(), &IdMap, &SumRed)
-                    .unwrap();
-                let combined = JobBuilder::new("combined")
-                    .reducers(reducers)
-                    .map_tasks(map_tasks)
-                    .workers(workers)
-                    .run_with_combiner(values, &IdMap, &SumCombiner, &SumRed)
-                    .unwrap();
-                // Same partitioner and per-partition sorted keys: the output
-                // must be identical record for record, not just as a set.
-                prop_assert_eq!(&combined.output, &plain.output);
-                prop_assert!(combined.metrics.shuffle_records <= plain.metrics.shuffle_records);
-                prop_assert!(combined.metrics.shuffle_bytes <= plain.metrics.shuffle_bytes);
-                prop_assert_eq!(
-                    combined.metrics.combine_input_records,
-                    plain.metrics.shuffle_records
-                );
-                prop_assert_eq!(
-                    combined.metrics.combine_output_records,
-                    combined.metrics.shuffle_records
-                );
-            }
-        }
     }
 
     #[test]

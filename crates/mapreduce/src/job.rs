@@ -64,101 +64,6 @@ pub trait Reducer: Send + Sync {
     fn cleanup(&self, _ctx: &mut ReduceContext<Self::KOut, Self::VOut>) {}
 }
 
-/// A map-side combiner (Hadoop's `Combiner`): merges the values a single map
-/// task emitted for one key *before* they cross the shuffle, trading a little
-/// map-side CPU for shuffle volume.
-///
-/// Combining must be semantically optional — the reducer has to produce the
-/// same result whether or not the combiner ran — which is the same contract
-/// Hadoop imposes.
-///
-/// # Example
-///
-/// A sum is associative, so partial sums can cross the shuffle instead of
-/// raw values:
-///
-/// ```
-/// use mapreduce::{Combiner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
-///
-/// struct IdMap;
-/// impl Mapper for IdMap {
-///     type KIn = u64;
-///     type VIn = u64;
-///     type KOut = u64;
-///     type VOut = u64;
-///     fn map(&self, k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>) {
-///         ctx.emit(*k, *v);
-///     }
-/// }
-///
-/// struct Sum;
-/// impl Reducer for Sum {
-///     type KIn = u64;
-///     type VIn = u64;
-///     type KOut = u64;
-///     type VOut = u64;
-///     fn reduce(&self, k: &u64, vs: &[u64], ctx: &mut ReduceContext<u64, u64>) {
-///         ctx.emit(*k, vs.iter().sum());
-///     }
-/// }
-///
-/// /// Pre-sums each map task's values for a key before they are shuffled.
-/// struct PartialSum;
-/// impl Combiner for PartialSum {
-///     type K = u64;
-///     type V = u64;
-///     fn combine(&self, _k: &u64, values: &[u64]) -> Vec<u64> {
-///         vec![values.iter().sum()]
-///     }
-/// }
-///
-/// let input: Vec<(u64, u64)> = (0..100).map(|i| (i % 4, 1)).collect();
-/// let job = JobBuilder::new("sum").reducers(2).map_tasks(4);
-/// let plain = job.run(input.clone(), &IdMap, &Sum).unwrap();
-/// let combined = job.run_with_combiner(input, &IdMap, &PartialSum, &Sum).unwrap();
-///
-/// // Same answer, far fewer records across the shuffle:
-/// assert_eq!(combined.output, plain.output);
-/// assert_eq!(plain.metrics.shuffle_records, 100);
-/// assert_eq!(combined.metrics.shuffle_records, 16); // 4 tasks × 4 keys
-/// assert!(combined.metrics.shuffle_bytes < plain.metrics.shuffle_bytes);
-/// ```
-pub trait Combiner: Send + Sync {
-    /// Intermediate key type (matches the mapper's `KOut`).
-    type K: Send + Clone + Ord + Hash + ByteSize;
-    /// Intermediate value type (matches the mapper's `VOut`).
-    type V: Send + Clone + ByteSize;
-
-    /// Combines the values one map task emitted for `key` into a (usually
-    /// smaller) list of values.
-    fn combine(&self, key: &Self::K, values: &[Self::V]) -> Vec<Self::V>;
-}
-
-/// A combiner that passes values through untouched; used internally when a
-/// job is run without a combiner.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IdentityCombiner<K, V>(std::marker::PhantomData<fn() -> (K, V)>);
-
-impl<K, V> IdentityCombiner<K, V> {
-    /// Creates the identity combiner.
-    pub fn new() -> Self {
-        Self(std::marker::PhantomData)
-    }
-}
-
-impl<K, V> Combiner for IdentityCombiner<K, V>
-where
-    K: Send + Clone + Ord + Hash + ByteSize,
-    V: Send + Clone + ByteSize,
-{
-    type K = K;
-    type V = V;
-
-    fn combine(&self, _key: &K, values: &[V]) -> Vec<V> {
-        values.to_vec()
-    }
-}
-
 /// Routes an intermediate key to one of the `num_reducers` reduce tasks.
 pub trait Partitioner<K>: Send + Sync {
     /// Returns the reducer index in `0..num_reducers` for `key`.
@@ -233,10 +138,9 @@ impl<K: ByteSize, V: ByteSize> MapContext<K, V> {
         &self.emitted
     }
 
-    /// The byte volume of the pairs emitted so far, before routing and
-    /// combining (computed on demand for unit-testing mappers; the engine
-    /// accounts the post-combine shuffle volume itself, so the emit hot path
-    /// does no byte accounting).
+    /// The byte volume of the pairs emitted so far (computed on demand for
+    /// unit-testing mappers; the engine accounts the shuffle volume itself
+    /// while routing, so the emit hot path does no byte accounting).
     pub fn emitted_bytes(&self) -> u64 {
         self.emitted
             .iter()

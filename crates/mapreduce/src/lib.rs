@@ -7,22 +7,25 @@
 //! * executes user-supplied [`Mapper`] and [`Reducer`] implementations over a
 //!   configurable number of map tasks and reduce tasks,
 //! * performs a real, *shuffle-lean* shuffle — every map task hash-routes its
-//!   output into per-reduce-partition buffers via the job's [`Partitioner`]
-//!   and runs the optional map-side [`Combiner`] before anything crosses the
-//!   shuffle; reduce tasks group and sort their partitions in parallel — and
+//!   output into per-reduce-partition buffers via the job's [`Partitioner`];
+//!   reduce tasks group and sort their partitions in parallel — and
 //!   **accounts every byte** that crosses it (the paper's "shuffling cost"
-//!   metric, Figures 8c–12c),
+//!   metric, Figures 8c–12c), and
 //! * exposes Hadoop-style [`Counters`] — including the built-in
-//!   [`counters::builtin`] shuffle/combine counters — and per-phase
-//!   wall-clock timings ([`JobMetrics`]), and
-//! * ships a miniature distributed file system ([`dfs::InMemoryDfs`]) with
-//!   NameNode/DataNode roles, block splitting and configurable replication,
-//!   mirroring how HDFS feeds input splits to map tasks.
+//!   [`counters::builtin`] shuffle counters — and per-phase wall-clock
+//!   timings ([`JobMetrics`]).
+//!
+//! Like the paper's algorithms, the joins cut shuffle cost by choosing what
+//! their mappers emit, so the engine has no map-side combiner; a mapper that
+//! wants to batch its output does so itself ("in-mapper combining").  The
+//! joins take their input as in-memory record vectors, so there is no file
+//! system either: [`JobBuilder`] cuts the input into contiguous map splits.
 //!
 //! The engine preserves the *dataflow semantics* and *cost structure* of
 //! MapReduce (what gets shuffled, how work is spread over reducers) while
 //! running on a thread pool, which is what the paper's evaluation metrics
-//! depend on.  See `DESIGN.md` §5 for the substitution rationale.
+//! depend on.  See ARCHITECTURE.md, "The MapReduce substrate", for the
+//! substitution rationale.
 //!
 //! # Example
 //!
@@ -66,7 +69,6 @@
 
 pub mod bytesize;
 pub mod counters;
-pub mod dfs;
 pub mod engine;
 pub mod job;
 pub mod metrics;
@@ -74,13 +76,9 @@ pub mod sync;
 
 pub use bytesize::ByteSize;
 pub use counters::Counters;
-pub use dfs::{DfsConfig, DfsError, InMemoryDfs};
-pub use engine::{
-    default_workers, parallel_map, run_job, run_job_with_combiner, JobBuilder, JobError, JobOutput,
-};
+pub use engine::{default_workers, parallel_map, JobBuilder, JobError, JobOutput};
 pub use job::{
-    Combiner, HashPartitioner, IdentityCombiner, IdentityPartitioner, MapContext, Mapper,
-    Partitioner, ReduceContext, Reducer,
+    HashPartitioner, IdentityPartitioner, MapContext, Mapper, Partitioner, ReduceContext, Reducer,
 };
 pub use metrics::{JobMetrics, PhaseTimings};
 pub use sync::{RankedMutex, RankedRwLock};

@@ -12,7 +12,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Time spent running map tasks, including the per-partition routing and
-    /// combiner work each map task performs before handing its buffers over.
+    /// byte accounting each map task performs before handing its buffers over.
     pub map: Duration,
     /// Time spent moving the per-task partition buffers to their reduce
     /// partitions (a transpose of already-routed buffers; the per-record work
@@ -45,11 +45,6 @@ pub struct JobMetrics {
     pub shuffle_records: u64,
     /// Number of bytes that crossed the shuffle (the paper's shuffling cost).
     pub shuffle_bytes: u64,
-    /// Number of pairs fed into the map-side combiner (zero without one).
-    pub combine_input_records: u64,
-    /// Number of pairs the combiner emitted towards the shuffle (zero
-    /// without one).
-    pub combine_output_records: u64,
     /// Number of output pairs produced by the reduce phase.
     pub output_records: u64,
     /// Per-phase wall clock durations.
@@ -68,8 +63,6 @@ impl JobMetrics {
         self.input_records += other.input_records;
         self.shuffle_records += other.shuffle_records;
         self.shuffle_bytes += other.shuffle_bytes;
-        self.combine_input_records += other.combine_input_records;
-        self.combine_output_records += other.combine_output_records;
         self.output_records += other.output_records;
         self.timings.map += other.timings.map;
         self.timings.shuffle += other.timings.shuffle;
@@ -106,8 +99,6 @@ mod tests {
             input_records: 10,
             shuffle_records: 20,
             shuffle_bytes: 100,
-            combine_input_records: 20,
-            combine_output_records: 15,
             output_records: 5,
             timings: PhaseTimings {
                 map: Duration::from_millis(1),
@@ -123,8 +114,6 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.map_tasks, 2);
         assert_eq!(a.shuffle_bytes, 200);
-        assert_eq!(a.combine_input_records, 40);
-        assert_eq!(a.combine_output_records, 30);
         assert_eq!(a.output_records, 10);
         assert_eq!(a.timings.total(), Duration::from_millis(12));
         assert_eq!(a.counters.get("x"), 3);

@@ -121,43 +121,61 @@ fn join_cardinality_matches_definition() {
 #[test]
 fn shuffle_accounting_matches_record_sizes() {
     // Every shuffled record of both PGBJ jobs is a serialised `Record`, so
-    // with the combiner disabled the byte counter is exactly predictable:
-    // job 1 ships |R| + |S| singleton batches (u32 cell key + record), job 2
-    // ships the routed records (u32 group key + record).
+    // the byte counter is exactly predictable: job 1 ships every record of
+    // R ∪ S once, batched per (map task, Voronoi cell) under one u32 cell
+    // key; job 2 ships the routed records, each with a u32 group key.
     let r = workload(7);
     let s = workload(8);
     let ctx = ExecutionContext::default();
-    let result = Join::new(&r, &s)
+    let join = Join::new(&r, &s)
         .k(5)
         .algorithm(Algorithm::Pgbj)
         .pivot_count(16)
-        .reducers(4)
-        .combiner(false)
+        .reducers(4);
+    let plan = join.plan().unwrap();
+    let result = join.run(&ctx).unwrap();
+    let exact = Join::new(&r, &s)
+        .k(5)
+        .algorithm(Algorithm::NestedLoopJoin)
         .run(&ctx)
         .unwrap();
+    assert!(result.matches(&exact, 1e-9));
+
+    // The expected batches, computed test-side: cut R ∪ S into the engine's
+    // `map_tasks` contiguous splits and count the distinct (split, cell)
+    // pairs under the plan's own pivots.
+    let pivots = knnjoin::select_pivots(
+        &r,
+        plan.pivot_count,
+        plan.pivot_strategy,
+        plan.pivot_sample_size,
+        plan.metric,
+        plan.seed,
+    );
+    let partitioner = knnjoin::VoronoiPartitioner::new(pivots, plan.metric);
+    let points: Vec<&Point> = r.iter().chain(s.iter()).collect();
+    let chunk = points.len().div_ceil(plan.map_tasks.min(points.len()));
+    let job1_batches: u64 = points
+        .chunks(chunk)
+        .map(|split| {
+            split
+                .iter()
+                .map(|p| partitioner.nearest_pivot(&p.coords).partition)
+                .collect::<std::collections::BTreeSet<_>>()
+                .len() as u64
+        })
+        .sum();
+    let n = (r.len() + s.len()) as u64;
+    assert!(job1_batches < n, "batching merged nothing");
+
+    let m = &result.metrics;
+    let job2_records = m.r_records_shuffled + m.s_records_shuffled;
+    assert_eq!(m.shuffle_records, job1_batches + job2_records);
     let record_bytes =
         geom::Record::new(geom::RecordKind::R, 0, 0.0, r.points()[0].clone()).encoded_len() as u64;
-    let job1_bytes = (r.len() + s.len()) as u64 * (record_bytes + 4);
-    let job2_bytes = (result.metrics.r_records_shuffled + result.metrics.s_records_shuffled)
-        * (record_bytes + 4);
-    assert_eq!(result.metrics.shuffle_bytes, job1_bytes + job2_bytes);
-
-    // The map-side combiner must strictly undercut that volume without
-    // changing the join result.
-    let combined = Join::new(&r, &s)
-        .k(5)
-        .algorithm(Algorithm::Pgbj)
-        .pivot_count(16)
-        .reducers(4)
-        .combiner(true)
-        .run(&ctx)
-        .unwrap();
-    assert!(combined.matches(&result, 0.0));
-    assert!(combined.metrics.shuffle_bytes < result.metrics.shuffle_bytes);
-    assert!(combined.metrics.shuffle_records < result.metrics.shuffle_records);
     assert_eq!(
-        combined.metrics.combine_input_records,
-        (r.len() + s.len()) as u64
+        m.shuffle_bytes,
+        n * record_bytes + 4 * job1_batches + job2_records * (record_bytes + 4)
     );
 }
 
