@@ -12,17 +12,14 @@
 //! * [`kernels`] — monomorphized per-metric distance kernels, including the
 //!   sqrt-free [`kernels::squared_euclidean`] and early-exit variants,
 //! * [`DistanceMetric`] — L2 / L1 / L∞ distance functions,
-//! * [`Record`] / [`Record::encode`] — the compact binary encoding used by
-//!   the MapReduce layer so that shuffle volume can be accounted in bytes, and
 //! * [`Neighbor`] / [`NeighborList`] — bounded max-heaps that maintain the `k`
 //!   nearest neighbours seen so far, and
 //! * [`zorder`] — quantized, bit-interleaved z-values and deterministic
 //!   random-shift vectors, the machinery of the H-zkNNJ approximate join.
 //!
 //! Every layer of the PGBJ pipeline speaks these types: `datagen` produces
-//! [`PointSet`]s, the `mapreduce` shuffle moves [`Record`] encodings (whose
-//! byte length is the paper's shuffling-cost unit), and the join reducers
-//! build their answers in [`NeighborList`]s.
+//! [`PointSet`]s, the join shuffles move borrowed [`Point`]s, and the join
+//! reducers build their answers in [`NeighborList`]s.
 //!
 //! ```
 //! use geom::{DistanceMetric, NeighborList, Point};
@@ -41,12 +38,10 @@ pub mod kernels;
 pub mod metric;
 pub mod neighbor;
 pub mod point;
-pub mod record;
 pub mod zorder;
 
 pub use coords::CoordMatrix;
 pub use metric::DistanceMetric;
 pub use neighbor::{Neighbor, NeighborList};
 pub use point::{Point, PointId, PointSet};
-pub use record::{Record, RecordKind};
 pub use zorder::{ZQuantizer, ZValue};

@@ -104,8 +104,11 @@ impl NeighborList {
             self.heap.push(Neighbor::new(id, distance));
             true
         } else if distance < self.threshold() {
-            self.heap.pop();
-            self.heap.push(Neighbor::new(id, distance));
+            // Overwrite the evicted maximum in place, so a replacement costs
+            // one sift-down.
+            if let Some(mut worst) = self.heap.peek_mut() {
+                *worst = Neighbor::new(id, distance);
+            }
             true
         } else {
             false

@@ -7,11 +7,12 @@
 //! the global `k` best — exactly the extra job the paper charges to these
 //! baselines in its shuffling-cost analysis.
 
-use crate::algorithms::common::{counters, EncodedRecord, NeighborListValue};
+use crate::algorithms::common::{counters, NeighborListValue, Record, RecordKind};
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::{JoinError, JoinRow};
-use geom::{Neighbor, RecordKind};
+use geom::Neighbor;
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
+use std::marker::PhantomData;
 use std::time::Instant;
 
 /// Number of blocks per dataset for a given reducer budget: `⌊√N⌋`, at least 1.
@@ -21,34 +22,44 @@ pub(crate) fn block_count(reducers: usize) -> usize {
 
 /// Mapper of the block join job: replicate each `R` record across the row of
 /// reducer cells for its block and each `S` record across the column.
-pub(crate) struct BlockRouteMapper {
+pub(crate) struct BlockRouteMapper<'a> {
     /// `B`, the number of blocks per dataset.
-    pub blocks: usize,
+    blocks: usize,
+    records: PhantomData<Record<'a>>,
 }
 
-impl Mapper for BlockRouteMapper {
-    type KIn = u64;
-    type VIn = EncodedRecord;
-    type KOut = u32;
-    type VOut = EncodedRecord;
+impl BlockRouteMapper<'_> {
+    /// The mapper for `B = blocks`.
+    pub(crate) fn new(blocks: usize) -> Self {
+        Self {
+            blocks,
+            records: PhantomData,
+        }
+    }
+}
 
-    fn map(&self, key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
+impl<'a> Mapper for BlockRouteMapper<'a> {
+    type KIn = u64;
+    type VIn = Record<'a>;
+    type KOut = u32;
+    type VOut = Record<'a>;
+
+    fn map(&self, key: &u64, record: &Record<'a>, ctx: &mut MapContext<u32, Record<'a>>) {
         let b = self.blocks as u64;
         let block = (key % b) as u32;
-        let kind = value.decode().kind;
-        match kind {
+        match record.kind {
             RecordKind::R => {
                 // R_i joins S_0..S_B-1: cells (block, 0..B).
                 for j in 0..self.blocks as u32 {
                     ctx.counters().increment(counters::R_RECORDS);
-                    ctx.emit(block * self.blocks as u32 + j, value.clone());
+                    ctx.emit(block * self.blocks as u32 + j, *record);
                 }
             }
             RecordKind::S => {
                 // S_j joins R_0..R_B-1: cells (0..B, block).
                 for i in 0..self.blocks as u32 {
                     ctx.counters().increment(counters::S_RECORDS);
-                    ctx.emit(i * self.blocks as u32 + block, value.clone());
+                    ctx.emit(i * self.blocks as u32 + block, *record);
                 }
             }
         }
@@ -103,8 +114,8 @@ impl Reducer for MergeReducer {
 /// per-cell join reducer, filling in phase timings, shuffle volume and
 /// counters for *both* jobs.  `workers` is the physical pool size from the
 /// caller's execution context.
-pub(crate) fn run_block_framework<Red>(
-    input: Vec<(u64, EncodedRecord)>,
+pub(crate) fn run_block_framework<'a, Red>(
+    input: Vec<(u64, Record<'a>)>,
     k: usize,
     reducers: usize,
     map_tasks: usize,
@@ -113,7 +124,7 @@ pub(crate) fn run_block_framework<Red>(
     metrics: &mut JoinMetrics,
 ) -> Result<Vec<JoinRow>, JoinError>
 where
-    Red: Reducer<KIn = u32, VIn = EncodedRecord, KOut = u64, VOut = NeighborListValue>,
+    Red: Reducer<KIn = u32, VIn = Record<'a>, KOut = u64, VOut = NeighborListValue>,
 {
     let blocks = block_count(reducers);
 
@@ -125,7 +136,7 @@ where
         .workers(workers)
         .run_with_partitioner(
             input,
-            &BlockRouteMapper { blocks },
+            &BlockRouteMapper::new(blocks),
             join_reducer,
             &IdentityPartitioner,
         )
@@ -154,8 +165,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geom::{Point, Record};
-    use mapreduce::Counters;
+    use geom::Point;
 
     #[test]
     fn block_count_is_floor_sqrt() {
@@ -170,27 +180,18 @@ mod tests {
 
     #[test]
     fn route_mapper_replicates_r_across_row_and_s_across_column() {
-        let mapper = BlockRouteMapper { blocks: 3 };
-        let r_rec = EncodedRecord::encode(&Record::new(
-            RecordKind::R,
-            0,
-            0.0,
-            Point::new(4, vec![0.0]),
-        ));
-        let s_rec = EncodedRecord::encode(&Record::new(
-            RecordKind::S,
-            0,
-            0.0,
-            Point::new(5, vec![0.0]),
-        ));
+        let mapper = BlockRouteMapper::new(3);
+        let (r_point, s_point) = (Point::new(4, vec![0.0]), Point::new(5, vec![0.0]));
+        let r_rec = Record::new(RecordKind::R, 0, 0.0, &r_point);
+        let s_rec = Record::new(RecordKind::S, 0, 0.0, &s_point);
 
-        let mut ctx = MapContext::new(0, Counters::new());
+        let mut ctx = MapContext::new(0);
         mapper.map(&4, &r_rec, &mut ctx);
         let r_cells: Vec<u32> = ctx.emitted().iter().map(|(c, _)| *c).collect();
         // id 4 % 3 = block 1 → cells 3, 4, 5 (row 1)
         assert_eq!(r_cells, vec![3, 4, 5]);
 
-        let mut ctx = MapContext::new(0, Counters::new());
+        let mut ctx = MapContext::new(0);
         mapper.map(&5, &s_rec, &mut ctx);
         let s_cells: Vec<u32> = ctx.emitted().iter().map(|(c, _)| *c).collect();
         // id 5 % 3 = block 2 → cells 2, 5, 8 (column 2)
@@ -201,10 +202,11 @@ mod tests {
     fn every_r_block_meets_every_s_block() {
         // For every pair (r, s), exactly one reducer cell receives both.
         let blocks = 3;
-        let mapper = BlockRouteMapper { blocks };
+        let mapper = BlockRouteMapper::new(blocks);
         let cells_of = |id: u64, kind: RecordKind| {
-            let rec = EncodedRecord::encode(&Record::new(kind, 0, 0.0, Point::new(id, vec![0.0])));
-            let mut ctx = MapContext::new(0, Counters::new());
+            let point = Point::new(id, vec![0.0]);
+            let rec = Record::new(kind, 0, 0.0, &point);
+            let mut ctx = MapContext::new(0);
             mapper.map(&id, &rec, &mut ctx);
             ctx.emitted()
                 .iter()
@@ -225,7 +227,7 @@ mod tests {
     #[test]
     fn merge_reducer_keeps_global_best() {
         let reducer = MergeReducer { k: 2 };
-        let mut ctx = ReduceContext::new(0, Counters::new());
+        let mut ctx = ReduceContext::new(0);
         reducer.reduce(
             &7,
             &[

@@ -8,14 +8,15 @@
 //! the shuffle-cost comparisons.  A single job suffices (no merge phase),
 //! since every reducer sees all of `S`.
 
-use crate::algorithms::common::{counters, EncodedRecord};
+use crate::algorithms::common::{counters, Record, RecordKind};
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::context::ExecutionContext;
 use crate::exact::validate_inputs;
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::{JoinError, JoinResult, JoinRow};
-use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointSet, RecordKind};
+use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointSet};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
+use std::marker::PhantomData;
 use std::time::Instant;
 
 /// Configuration of [`BroadcastJoin`].
@@ -87,10 +88,10 @@ impl KnnJoinAlgorithm for BroadcastJoin {
 
         let mut input = Vec::with_capacity(r.len() + s.len());
         for p in r {
-            input.push((p.id, EncodedRecord::from_parts(RecordKind::R, 0, 0.0, p)));
+            input.push((p.id, Record::new(RecordKind::R, 0, 0.0, p)));
         }
         for p in s {
-            input.push((p.id, EncodedRecord::from_parts(RecordKind::S, 0, 0.0, p)));
+            input.push((p.id, Record::new(RecordKind::S, 0, 0.0, p)));
         }
 
         let start = Instant::now();
@@ -102,8 +103,13 @@ impl KnnJoinAlgorithm for BroadcastJoin {
                 input,
                 &BroadcastMapper {
                     reducers: self.config.reducers,
+                    records: PhantomData,
                 },
-                &BroadcastReducer { k, metric },
+                &BroadcastReducer {
+                    k,
+                    metric,
+                    records: PhantomData,
+                },
                 &IdentityPartitioner,
             )
             .map_err(|e| JoinError::substrate("broadcast-join", e))?;
@@ -123,26 +129,27 @@ impl KnnJoinAlgorithm for BroadcastJoin {
 
 /// Mapper: `R` objects go to one reducer (hash of their id); `S` objects are
 /// broadcast to every reducer.
-struct BroadcastMapper {
+struct BroadcastMapper<'a> {
     reducers: usize,
+    records: PhantomData<Record<'a>>,
 }
 
-impl Mapper for BroadcastMapper {
+impl<'a> Mapper for BroadcastMapper<'a> {
     type KIn = u64;
-    type VIn = EncodedRecord;
+    type VIn = Record<'a>;
     type KOut = u32;
-    type VOut = EncodedRecord;
+    type VOut = Record<'a>;
 
-    fn map(&self, key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
-        match value.decode().kind {
+    fn map(&self, key: &u64, record: &Record<'a>, ctx: &mut MapContext<u32, Record<'a>>) {
+        match record.kind {
             RecordKind::R => {
                 ctx.counters().increment(counters::R_RECORDS);
-                ctx.emit((key % self.reducers as u64) as u32, value.clone());
+                ctx.emit((key % self.reducers as u64) as u32, *record);
             }
             RecordKind::S => {
                 for reducer in 0..self.reducers as u32 {
                     ctx.counters().increment(counters::S_RECORDS);
-                    ctx.emit(reducer, value.clone());
+                    ctx.emit(reducer, *record);
                 }
             }
         }
@@ -150,27 +157,27 @@ impl Mapper for BroadcastMapper {
 }
 
 /// Reducer: exhaustive scan of the full `S` for every local `r`.
-struct BroadcastReducer {
+struct BroadcastReducer<'a> {
     k: usize,
     metric: DistanceMetric,
+    records: PhantomData<Record<'a>>,
 }
 
-impl Reducer for BroadcastReducer {
+impl<'a> Reducer for BroadcastReducer<'a> {
     type KIn = u32;
-    type VIn = EncodedRecord;
+    type VIn = Record<'a>;
     type KOut = u64;
     type VOut = Vec<Neighbor>;
 
     fn reduce(
         &self,
         _key: &u32,
-        values: &[EncodedRecord],
+        values: &[Record<'a>],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
-        let mut r_block: Vec<Point> = Vec::new();
-        let mut s_block: Vec<Point> = Vec::new();
-        for value in values {
-            let record = value.decode();
+        let mut r_block: Vec<&Point> = Vec::new();
+        let mut s_block: Vec<&Point> = Vec::new();
+        for record in values {
             match record.kind {
                 RecordKind::R => r_block.push(record.point),
                 RecordKind::S => s_block.push(record.point),
@@ -178,9 +185,13 @@ impl Reducer for BroadcastReducer {
         }
         // Flatten S once: the block is scanned |R_block| times, so the
         // columnar layout and hoisted kernel pay for themselves immediately.
-        let s_coords = CoordMatrix::from_points(&s_block);
+        let dims = s_block.first().map_or(0, |p| p.dims());
+        let mut s_coords = CoordMatrix::with_capacity(dims, s_block.len());
+        for p in &s_block {
+            s_coords.push_row(&p.coords);
+        }
         let kernel = self.metric.kernel();
-        for r_obj in &r_block {
+        for r_obj in r_block {
             let mut list = NeighborList::new(self.k);
             for (i, row) in s_coords.rows().enumerate() {
                 list.offer(s_block[i].id, kernel(&r_obj.coords, row));

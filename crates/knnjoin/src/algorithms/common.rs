@@ -1,7 +1,7 @@
-//! Pieces shared by the MapReduce join algorithms: the serialised record
-//! value type used across shuffles, the neighbour-list value type used by the
-//! merge jobs, counter names, the candidate scans, and the direct probe
-//! loop and Voronoi state of the prepared PGBJ / PBJ path.
+//! Pieces shared by the MapReduce join algorithms: the typed record that
+//! crosses their shuffles, the neighbour-list value type used by the merge
+//! jobs, counter names, the candidate scans, and the direct probe loop and
+//! Voronoi state of the prepared PGBJ / PBJ path.
 
 use crate::bounds::{hyperplane_bound, table_theta, theorem2_window};
 use crate::delta::DeltaOverlay;
@@ -14,10 +14,7 @@ use crate::summary::{
     build_s_summaries, k_smallest_ascending, pivot_distance_matrix, RPartitionSummary,
     SPartitionSummary, SummaryTables,
 };
-use geom::{
-    CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointId, PointSet, Record,
-    RecordKind,
-};
+use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointId, PointSet};
 use mapreduce::ByteSize;
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -28,49 +25,59 @@ use std::time::Instant;
 /// which aggregates them via `absorb_job`).
 pub use crate::metrics::counters;
 
-/// An intermediate value carrying one serialised object record.
+/// Which input dataset a shuffled object comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RecordKind {
+    /// The outer dataset `R` (each of whose objects receives `k` neighbours).
+    R,
+    /// The inner dataset `S` (from which neighbours are drawn).
+    S,
+}
+
+/// One object crossing a join shuffle: the tuple of the paper's Figure 4 —
+/// dataset tag, Voronoi cell (partition), distance to that cell's pivot, and
+/// the object itself.
 ///
-/// Hadoop moves serialised bytes through its shuffle; we do the same so the
-/// byte accounting of the `mapreduce` crate reflects exactly what the paper's
-/// shuffling-cost metric measures.  The wrapper exists to give the encoded
-/// record a [`ByteSize`] implementation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EncodedRecord(pub bytes::Bytes);
+/// The object is borrowed from the join's input, so mappers emit records
+/// without copying points and reducers read coordinates in place; nothing is
+/// serialised.  The shuffle still charges each record the size of its wire
+/// form ([`Record::encoded_len`]), the unit of the paper's shuffling-cost
+/// metric.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Record<'a> {
+    /// Originating dataset.
+    pub kind: RecordKind,
+    /// Index of the closest pivot (partition id); 0 where the algorithm has
+    /// no pivots.
+    pub partition: u32,
+    /// Distance from the object to its closest pivot; 0 without pivots.
+    pub pivot_distance: f64,
+    /// The object itself.
+    pub point: &'a Point,
+}
 
-impl EncodedRecord {
-    /// Encodes a record.
-    pub fn encode(record: &Record) -> Self {
-        Self(record.encode())
+impl<'a> Record<'a> {
+    /// Creates a record.
+    pub fn new(kind: RecordKind, partition: u32, pivot_distance: f64, point: &'a Point) -> Self {
+        Self {
+            kind,
+            partition,
+            pivot_distance,
+            point,
+        }
     }
 
-    /// Encodes a record straight from its parts, borrowing the point.
-    ///
-    /// Bit-identical to `encode(&Record::new(kind, partition, dist,
-    /// point.clone()))` without the intermediate clone — the input builders
-    /// of the map phase use this so preparing `R ∪ S` costs one encoded
-    /// buffer per object instead of a full second copy of the datasets.
-    pub fn from_parts(
-        kind: RecordKind,
-        partition: u32,
-        pivot_distance: f64,
-        point: &Point,
-    ) -> Self {
-        Self(Record::encode_parts(kind, partition, pivot_distance, point))
-    }
-
-    /// Decodes the record.
-    ///
-    /// # Panics
-    /// Panics if the buffer is corrupt; intermediate data is produced by our
-    /// own mappers, so corruption indicates a bug rather than bad input.
-    pub fn decode(&self) -> Record {
-        Record::decode(&self.0).expect("corrupt intermediate record")
+    /// Bytes of the record's wire form: a one-byte dataset tag, the `u32`
+    /// partition, the `f64` pivot distance, the `u64` id, a `u32` dimension
+    /// count and one `f64` per coordinate.
+    pub fn encoded_len(&self) -> usize {
+        1 + 4 + 8 + 8 + 4 + 8 * self.point.coords.len()
     }
 }
 
-impl ByteSize for EncodedRecord {
+impl ByteSize for Record<'_> {
     fn byte_size(&self) -> usize {
-        self.0.len()
+        self.encoded_len()
     }
 }
 
@@ -154,21 +161,23 @@ impl FlatPartition {
 /// The per-partition views an Algorithm 3 reducer works from: `R` objects
 /// grouped by partition, and the received `S` subset in flat
 /// [`FlatPartition`] storage.
-pub(crate) type ReducerPartitions = (
-    BTreeMap<usize, Vec<(Point, f64)>>,
+pub(crate) type ReducerPartitions<'a> = (
+    BTreeMap<usize, Vec<(&'a Point, f64)>>,
     BTreeMap<usize, FlatPartition>,
 );
 
-/// Decodes a reducer's received records and splits them by kind and
-/// partition (Algorithm 3 line 13), preserving arrival order: `R` objects
-/// stay as owned points (each is a query, visited once), while `S` objects
-/// are flattened straight into the columnar layout the candidate scan reads.
-/// Shared by the PGBJ group reducer and the PBJ cell reducer.
-pub(crate) fn split_reducer_records(values: &[EncodedRecord], dims: usize) -> ReducerPartitions {
-    let mut r_parts: BTreeMap<usize, Vec<(Point, f64)>> = BTreeMap::new();
+/// Splits a reducer's received records by kind and partition (Algorithm 3
+/// line 13), preserving arrival order: `R` objects stay borrowed (each is a
+/// query, visited once), while `S` coordinates are copied straight into the
+/// columnar layout the candidate scan reads.  Shared by the PGBJ group
+/// reducer and the PBJ cell reducer.
+pub(crate) fn split_reducer_records<'a>(
+    values: &[Record<'a>],
+    dims: usize,
+) -> ReducerPartitions<'a> {
+    let mut r_parts: BTreeMap<usize, Vec<(&'a Point, f64)>> = BTreeMap::new();
     let mut s_parts: BTreeMap<usize, FlatPartition> = BTreeMap::new();
-    for value in values {
-        let record = value.decode();
+    for record in values {
         match record.kind {
             RecordKind::R => r_parts
                 .entry(record.partition as usize)
@@ -177,7 +186,7 @@ pub(crate) fn split_reducer_records(values: &[EncodedRecord], dims: usize) -> Re
             RecordKind::S => s_parts
                 .entry(record.partition as usize)
                 .or_insert_with(|| FlatPartition::new(dims))
-                .push(&record.point, record.pivot_distance),
+                .push(record.point, record.pivot_distance),
         }
     }
     (r_parts, s_parts)
@@ -764,18 +773,15 @@ pub fn order_s_partitions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geom::{Point, RecordKind};
+    use geom::Point;
 
     #[test]
-    fn encoded_record_roundtrip_and_size() {
-        let record = Record::new(RecordKind::S, 3, 1.5, Point::new(9, vec![1.0, 2.0]));
-        let enc = EncodedRecord::encode(&record);
-        assert_eq!(enc.byte_size(), record.encoded_len());
-        assert_eq!(enc.decode(), record);
-        // The borrowed constructor produces the identical bytes (and thus
-        // identical shuffle accounting) without cloning the point.
-        let borrowed = EncodedRecord::from_parts(RecordKind::S, 3, 1.5, &record.point);
-        assert_eq!(borrowed, enc);
+    fn record_size_is_its_wire_form() {
+        let point = Point::new(9, vec![1.0, 2.0]);
+        let record = Record::new(RecordKind::S, 3, 1.5, &point);
+        // tag + partition + pivot distance + id + dims + two coordinates.
+        assert_eq!(record.byte_size(), 1 + 4 + 8 + 8 + 4 + 2 * 8);
+        assert_eq!(record.byte_size(), record.encoded_len());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::algorithms::blocks::{block_count, run_block_framework};
 use crate::algorithms::common::{
-    counters, probe_in_chunks, EncodedRecord, NeighborListValue, ScanCounts,
+    counters, probe_in_chunks, NeighborListValue, Record, RecordKind, ScanCounts,
 };
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::context::ExecutionContext;
@@ -26,9 +26,10 @@ use crate::delta::DeltaOverlay;
 use crate::exact::validate_inputs;
 use crate::metrics::JoinMetrics;
 use crate::result::{JoinError, JoinResult, JoinRow};
-use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointSet, RecordKind};
+use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointSet};
 use mapreduce::{ReduceContext, Reducer};
 use spatial::RTree;
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
 /// Configuration of [`Hbrj`].
@@ -107,14 +108,14 @@ impl KnnJoinAlgorithm for Hbrj {
             ..Default::default()
         };
 
-        // H-BRJ has no preprocessing: the map job replicates raw records,
-        // encoded straight from the borrowed points (no dataset-sized clone).
+        // H-BRJ has no preprocessing: the map job replicates raw records
+        // that borrow the input points (no dataset-sized clone).
         let mut input = Vec::with_capacity(r.len() + s.len());
         for p in r {
-            input.push((p.id, EncodedRecord::from_parts(RecordKind::R, 0, 0.0, p)));
+            input.push((p.id, Record::new(RecordKind::R, 0, 0.0, p)));
         }
         for p in s {
-            input.push((p.id, EncodedRecord::from_parts(RecordKind::S, 0, 0.0, p)));
+            input.push((p.id, Record::new(RecordKind::S, 0, 0.0, p)));
         }
 
         let blocks = block_count(self.config.reducers);
@@ -124,6 +125,7 @@ impl KnnJoinAlgorithm for Hbrj {
             fanout: self.config.rtree_fanout,
             blocks,
             s_trees: (0..blocks).map(|_| OnceLock::new()).collect(),
+            records: PhantomData,
         };
         let rows = run_block_framework(
             input,
@@ -144,7 +146,7 @@ impl KnnJoinAlgorithm for Hbrj {
 /// Reducer for one `(R_i, S_j)` cell: a shared R-tree over `S_j` (built by
 /// the column's first cell, reused by the rest), best-first kNN per
 /// `r ∈ R_i`.
-struct HbrjCellReducer {
+struct HbrjCellReducer<'a> {
     k: usize,
     metric: DistanceMetric,
     fanout: usize,
@@ -153,31 +155,31 @@ struct HbrjCellReducer {
     blocks: usize,
     /// One lazily built tree per `S` block, shared across the column's cells.
     s_trees: Vec<OnceLock<Arc<RTree>>>,
+    records: PhantomData<Record<'a>>,
 }
 
-impl Reducer for HbrjCellReducer {
+impl<'a> Reducer for HbrjCellReducer<'a> {
     type KIn = u32;
-    type VIn = EncodedRecord;
+    type VIn = Record<'a>;
     type KOut = u64;
     type VOut = NeighborListValue;
 
     fn reduce(
         &self,
         cell: &u32,
-        values: &[EncodedRecord],
+        values: &[Record<'a>],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
-        let mut r_block: Vec<Point> = Vec::new();
+        let mut r_block: Vec<&Point> = Vec::new();
         let mut s_block: Vec<Point> = Vec::new();
         let s_slot = &self.s_trees[*cell as usize % self.blocks];
         let tree_cached = s_slot.get().is_some();
-        for value in values {
-            let record = value.decode();
+        for record in values {
             match record.kind {
                 RecordKind::R => r_block.push(record.point),
-                // Another cell of this column already built the (identical)
-                // tree: skip collecting the block.
-                RecordKind::S if !tree_cached => s_block.push(record.point),
+                // The tree owns its points. Once another cell of this column
+                // has built the (identical) tree, the block is not collected.
+                RecordKind::S if !tree_cached => s_block.push(record.point.clone()),
                 RecordKind::S => {}
             }
         }
@@ -194,7 +196,7 @@ impl Reducer for HbrjCellReducer {
                 self.fanout,
             ))
         });
-        for r_obj in &r_block {
+        for r_obj in r_block {
             let (neighbors, computations) = tree.knn_counted(r_obj, self.k);
             ctx.counters()
                 .add(counters::DISTANCE_COMPUTATIONS, computations);

@@ -14,7 +14,7 @@
 use crate::algorithms::blocks::run_block_framework;
 use crate::algorithms::common::{
     bounded_knn_scan, counters, order_s_partitions, split_reducer_records,
-    summarize_flat_partition, EncodedRecord, NeighborListValue,
+    summarize_flat_partition, NeighborListValue, Record, RecordKind,
 };
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::bounds::bounding_knn_theta;
@@ -25,9 +25,8 @@ use crate::partition::VoronoiPartitioner;
 use crate::pivots::{select_pivots, PivotSelectionStrategy};
 use crate::result::{JoinError, JoinResult};
 use crate::summary::{SPartitionSummary, SummaryTables};
-use geom::{DistanceMetric, PointSet, RecordKind};
+use geom::{DistanceMetric, PointSet};
 use mapreduce::{ReduceContext, Reducer};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of [`Pbj`].
@@ -137,36 +136,24 @@ impl KnnJoinAlgorithm for Pbj {
 
         // ---- Summary tables -------------------------------------------------
         let start = Instant::now();
-        let tables = Arc::new(SummaryTables::build(
-            pivots,
-            metric,
-            &partitioned_r,
-            &partitioned_s,
-            k,
-        ));
+        let tables = SummaryTables::build(pivots, metric, &partitioned_r, &partitioned_s, k);
         metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
 
         // ---- Block join + merge (no grouping phase) -------------------------
         let mut input = Vec::with_capacity(r.len() + s.len());
-        for (partition, bucket) in partitioned_r.partitions.iter().enumerate() {
-            for (point, dist) in bucket {
-                input.push((
-                    point.id,
-                    EncodedRecord::from_parts(RecordKind::R, partition as u32, *dist, point),
-                ));
-            }
-        }
-        for (partition, bucket) in partitioned_s.partitions.iter().enumerate() {
-            for (point, dist) in bucket {
-                input.push((
-                    point.id,
-                    EncodedRecord::from_parts(RecordKind::S, partition as u32, *dist, point),
-                ));
+        for (kind, partitioned) in [
+            (RecordKind::R, &partitioned_r),
+            (RecordKind::S, &partitioned_s),
+        ] {
+            for (partition, bucket) in partitioned.partitions.iter().enumerate() {
+                for (point, dist) in bucket {
+                    input.push((point.id, Record::new(kind, partition as u32, *dist, point)));
+                }
             }
         }
 
         let reducer = PbjCellReducer {
-            tables: Arc::clone(&tables),
+            tables: &tables,
             k,
             metric,
         };
@@ -188,22 +175,22 @@ impl KnnJoinAlgorithm for Pbj {
 
 /// Reducer for one `(R_i, S_j)` cell: bounded, pruned nested-loop join using
 /// the Voronoi summary tables, but over a random block of `S`.
-struct PbjCellReducer {
-    tables: Arc<SummaryTables>,
+struct PbjCellReducer<'a> {
+    tables: &'a SummaryTables,
     k: usize,
     metric: DistanceMetric,
 }
 
-impl Reducer for PbjCellReducer {
+impl<'a> Reducer for PbjCellReducer<'a> {
     type KIn = u32;
-    type VIn = EncodedRecord;
+    type VIn = Record<'a>;
     type KOut = u64;
     type VOut = NeighborListValue;
 
     fn reduce(
         &self,
         _cell: &u32,
-        values: &[EncodedRecord],
+        values: &[Record<'a>],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
         let dims = self.tables.pivots.first().map_or(0, |p| p.dims());
@@ -216,7 +203,7 @@ impl Reducer for PbjCellReducer {
             .collect();
 
         for (&i, r_bucket) in &r_parts {
-            let s_order = order_s_partitions(&s_parts, i, &self.tables);
+            let s_order = order_s_partitions(&s_parts, i, self.tables);
             let theta_i = bounding_knn_theta(
                 self.tables.r_summaries[i].upper,
                 &cell_t_s,
@@ -230,7 +217,7 @@ impl Reducer for PbjCellReducer {
                     i,
                     &s_parts,
                     &s_order,
-                    &self.tables,
+                    self.tables,
                     theta_i,
                     self.k,
                     self.metric,

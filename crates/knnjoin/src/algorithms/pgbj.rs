@@ -15,7 +15,7 @@
 //!    runs the bounded nested-loop join of Algorithm 3 over its group.
 
 use crate::algorithms::common::{
-    bounded_knn_scan, counters, order_s_partitions, split_reducer_records, EncodedRecord,
+    bounded_knn_scan, counters, order_s_partitions, split_reducer_records, Record, RecordKind,
 };
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::bounds::PartitionBounds;
@@ -27,11 +27,12 @@ use crate::partition::{PartitionedDataset, VoronoiPartitioner};
 use crate::pivots::{select_pivots, PivotSelectionStrategy};
 use crate::result::{JoinError, JoinResult, JoinRow};
 use crate::summary::SummaryTables;
-use geom::{DistanceMetric, Neighbor, Point, PointSet, RecordKind};
+use geom::{DistanceMetric, Neighbor, Point, PointSet};
 use mapreduce::{
     ByteSize, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
 };
-use std::sync::Arc;
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Configuration of [`Pgbj`].
@@ -138,7 +139,7 @@ impl KnnJoinAlgorithm for Pgbj {
 
         // ---- Job 1: Voronoi partitioning of R ∪ S -------------------------
         let start = Instant::now();
-        let partitioner = Arc::new(VoronoiPartitioner::new(pivots.clone(), metric));
+        let partitioner = VoronoiPartitioner::new(pivots.clone(), metric);
         let job1 = JobBuilder::new("pgbj-partition")
             .reducers(cfg.reducers)
             .map_tasks(cfg.map_tasks)
@@ -146,9 +147,11 @@ impl KnnJoinAlgorithm for Pgbj {
             .run(
                 build_job1_input(r, s, cfg.map_tasks),
                 &PartitionMapper {
-                    partitioner: Arc::clone(&partitioner),
+                    partitioner: &partitioner,
+                    r,
+                    s,
                 },
-                &CollectPartitionReducer,
+                &CollectPartitionReducer(PhantomData),
             )
             .map_err(|e| JoinError::substrate("pgbj-partition", e))?;
         let (partitioned_r, partitioned_s) = assemble_partitions(job1.output, pivots.len());
@@ -157,29 +160,23 @@ impl KnnJoinAlgorithm for Pgbj {
 
         // ---- Index merging: summary tables --------------------------------
         let start = Instant::now();
-        let tables = Arc::new(SummaryTables::build(
-            pivots,
-            metric,
-            &partitioned_r,
-            &partitioned_s,
-            k,
-        ));
+        let tables = SummaryTables::build(pivots, metric, &partitioned_r, &partitioned_s, k);
         metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
 
         // ---- Grouping and replica bounds (Algorithm 2) ---------------------
         let start = Instant::now();
         let bounds = PartitionBounds::compute(&tables, k);
         let grouping = build_grouping(cfg.grouping_strategy, &tables, &bounds, cfg.reducers);
-        let group_lb = Arc::new(bounds.group_lower_bounds(&grouping));
-        let group_of = Arc::new(grouping.group_of(tables.partition_count()));
+        let group_lb = bounds.group_lower_bounds(&grouping);
+        let group_of = grouping.group_of(tables.partition_count());
         metrics.record_phase(phases::PARTITION_GROUPING, start.elapsed());
 
         // ---- Job 2: the kNN join (Algorithm 3) ------------------------------
         let start = Instant::now();
         let job2_input = build_job2_input(&partitioned_r, &partitioned_s);
         let join_reducer = PgbjJoinReducer {
-            tables: Arc::clone(&tables),
-            theta: Arc::new(bounds.theta.clone()),
+            tables: &tables,
+            theta: &bounds.theta,
             k,
             metric,
         };
@@ -190,8 +187,8 @@ impl KnnJoinAlgorithm for Pgbj {
             .run_with_partitioner(
                 job2_input,
                 &RouteMapper {
-                    group_of: Arc::clone(&group_of),
-                    group_lb: Arc::clone(&group_lb),
+                    group_of: &group_of,
+                    group_lb: &group_lb,
                 },
                 &join_reducer,
                 &IdentityPartitioner,
@@ -219,39 +216,31 @@ impl KnnJoinAlgorithm for Pgbj {
 // Job 1: partitioning
 // ---------------------------------------------------------------------------
 
-/// Job 1's input: the `|R| + |S|` encoded records cut into `map_tasks`
-/// contiguous chunks of `⌈(|R| + |S|) / map_tasks⌉` records, keyed by chunk
-/// index.  The engine cuts its map splits on the same boundaries, so each map
-/// task receives exactly one chunk.
-fn build_job1_input(
-    r: &PointSet,
-    s: &PointSet,
-    map_tasks: usize,
-) -> Vec<(u64, Vec<EncodedRecord>)> {
+/// Job 1's input: the indices `0..|R| + |S|` of `R ∪ S` (`R` first) cut
+/// into `map_tasks` contiguous chunks of `⌈(|R| + |S|) / map_tasks⌉` objects,
+/// keyed by chunk index.  The engine cuts its map splits on the same
+/// boundaries, so each map task receives exactly one chunk, and its mapper
+/// reads the points straight from `R` and `S`.
+fn build_job1_input(r: &PointSet, s: &PointSet, map_tasks: usize) -> Vec<(u64, Range<usize>)> {
     let n = r.len() + s.len();
     let chunk = n.div_ceil(map_tasks.clamp(1, n.max(1))).max(1);
-    let mut records = r
-        .iter()
-        .map(|p| EncodedRecord::from_parts(RecordKind::R, 0, 0.0, p))
-        .chain(
-            s.iter()
-                .map(|p| EncodedRecord::from_parts(RecordKind::S, 0, 0.0, p)),
-        );
-    (0..n.div_ceil(chunk))
-        .map(|i| (i as u64, records.by_ref().take(chunk).collect()))
+    (0..n)
+        .step_by(chunk)
+        .enumerate()
+        .map(|(i, first)| (i as u64, first..(first + chunk).min(n)))
         .collect()
 }
 
-/// The intermediate value of job 1: a batch of serialised records bound for
-/// one Voronoi partition.  A map task ships one batch per partition its chunk
-/// touches, so the per-record shuffle framing is paid once per
-/// (task, partition) instead of once per object.
+/// The intermediate value of job 1: a batch of records bound for one Voronoi
+/// partition.  A map task ships one batch per partition its chunk touches,
+/// so the per-record shuffle framing is paid once per (task, partition)
+/// instead of once per object.
 #[derive(Debug, Clone, Default, PartialEq)]
-struct RecordBatch(Vec<EncodedRecord>);
+struct RecordBatch<'a>(Vec<Record<'a>>);
 
-impl ByteSize for RecordBatch {
+impl ByteSize for RecordBatch<'_> {
     fn byte_size(&self) -> usize {
-        // Exactly the serialised records: the `Record` codec is
+        // Exactly the member records: a record's wire form is
         // self-delimiting, so a batch needs no extra framing; the saving is
         // the key each batch shares, not an artifact of batch framing.
         self.0.iter().map(ByteSize::byte_size).sum()
@@ -264,28 +253,34 @@ impl ByteSize for RecordBatch {
 /// (the pruned scan usually touches far fewer than `|P|` pivots), then emit
 /// one [`RecordBatch`] per touched partition, in partition order
 /// ("in-mapper combining").
-struct PartitionMapper {
-    partitioner: Arc<VoronoiPartitioner>,
+struct PartitionMapper<'a> {
+    partitioner: &'a VoronoiPartitioner,
+    r: &'a PointSet,
+    s: &'a PointSet,
 }
 
-impl Mapper for PartitionMapper {
+impl<'a> Mapper for PartitionMapper<'a> {
     type KIn = u64;
-    type VIn = Vec<EncodedRecord>;
+    type VIn = Range<usize>;
     type KOut = u32;
-    type VOut = RecordBatch;
+    type VOut = RecordBatch<'a>;
 
-    fn map(&self, _key: &u64, chunk: &Vec<EncodedRecord>, ctx: &mut MapContext<u32, RecordBatch>) {
+    fn map(&self, _key: &u64, chunk: &Range<usize>, ctx: &mut MapContext<u32, RecordBatch<'a>>) {
         let mut batches = vec![Vec::new(); self.partitioner.partition_count()];
         let mut computations = 0;
-        for value in chunk {
-            let record = value.decode();
-            let assignment = self.partitioner.nearest_pivot(&record.point.coords);
+        let (r, s) = (self.r.points(), self.s.points());
+        for i in chunk.clone() {
+            let (kind, point) = match r.get(i) {
+                Some(point) => (RecordKind::R, point),
+                None => (RecordKind::S, &s[i - r.len()]),
+            };
+            let assignment = self.partitioner.nearest_pivot(&point.coords);
             computations += assignment.computations;
-            batches[assignment.partition].push(EncodedRecord::from_parts(
-                record.kind,
+            batches[assignment.partition].push(Record::new(
+                kind,
                 assignment.partition as u32,
                 assignment.distance,
-                &record.point,
+                point,
             ));
         }
         ctx.counters()
@@ -298,54 +293,52 @@ impl Mapper for PartitionMapper {
     }
 }
 
-/// The data a job-1 reducer produces for one partition.
-#[derive(Debug, Clone, Default)]
-struct PartitionBucket {
-    r: Vec<(Point, f64)>,
-    s: Vec<(Point, f64)>,
-}
+/// The objects a job-1 reducer collects for one partition.
+type PartitionBucket<'a> = (Vec<(&'a Point, f64)>, Vec<(&'a Point, f64)>);
 
-/// Reducer of job 1: collect the objects of each partition (the partitioned
-/// copy of the datasets that job 2 will read).
-struct CollectPartitionReducer;
+/// Reducer of job 1: collect the objects of each partition, `R` and `S`
+/// apart (the partitioned view of the datasets that job 2 will read).
+struct CollectPartitionReducer<'a>(PhantomData<Record<'a>>);
 
-impl Reducer for CollectPartitionReducer {
+impl<'a> Reducer for CollectPartitionReducer<'a> {
     type KIn = u32;
-    type VIn = RecordBatch;
+    type VIn = RecordBatch<'a>;
     type KOut = u32;
-    type VOut = PartitionBucket;
+    type VOut = PartitionBucket<'a>;
 
     fn reduce(
         &self,
         key: &u32,
-        values: &[RecordBatch],
-        ctx: &mut ReduceContext<u32, PartitionBucket>,
+        values: &[RecordBatch<'a>],
+        ctx: &mut ReduceContext<u32, PartitionBucket<'a>>,
     ) {
-        let mut bucket = PartitionBucket::default();
-        for value in values.iter().flat_map(|batch| &batch.0) {
-            let record = value.decode();
+        let (mut r, mut s) = (Vec::new(), Vec::new());
+        for record in values.iter().flat_map(|batch| &batch.0) {
+            let object = (record.point, record.pivot_distance);
             match record.kind {
-                RecordKind::R => bucket.r.push((record.point, record.pivot_distance)),
-                RecordKind::S => bucket.s.push((record.point, record.pivot_distance)),
+                RecordKind::R => r.push(object),
+                RecordKind::S => s.push(object),
             }
         }
-        ctx.emit(*key, bucket);
+        ctx.emit(*key, (r, s));
     }
 }
 
+type Partitioned<'a> = PartitionedDataset<&'a Point>;
+
 fn assemble_partitions(
-    output: Vec<(u32, PartitionBucket)>,
+    output: Vec<(u32, PartitionBucket<'_>)>,
     n_partitions: usize,
-) -> (PartitionedDataset, PartitionedDataset) {
+) -> (Partitioned<'_>, Partitioned<'_>) {
     let mut pr = PartitionedDataset {
         partitions: vec![Vec::new(); n_partitions],
     };
     let mut ps = PartitionedDataset {
         partitions: vec![Vec::new(); n_partitions],
     };
-    for (partition, bucket) in output {
-        pr.partitions[partition as usize] = bucket.r;
-        ps.partitions[partition as usize] = bucket.s;
+    for (partition, (r, s)) in output {
+        pr.partitions[partition as usize] = r;
+        ps.partitions[partition as usize] = s;
     }
     (pr, ps)
 }
@@ -354,25 +347,22 @@ fn assemble_partitions(
 // Job 2: routing and the join
 // ---------------------------------------------------------------------------
 
-fn build_job2_input(
-    partitioned_r: &PartitionedDataset,
-    partitioned_s: &PartitionedDataset,
-) -> Vec<(u32, EncodedRecord)> {
+/// Job 2's input: every object of the partitioned `R`, then of the
+/// partitioned `S`, in partition order, keyed by partition.
+fn build_job2_input<'a>(
+    partitioned_r: &Partitioned<'a>,
+    partitioned_s: &Partitioned<'a>,
+) -> Vec<(u32, Record<'a>)> {
     let mut input = Vec::with_capacity(partitioned_r.len() + partitioned_s.len());
-    for (partition, bucket) in partitioned_r.partitions.iter().enumerate() {
-        for (point, dist) in bucket {
-            input.push((
-                partition as u32,
-                EncodedRecord::from_parts(RecordKind::R, partition as u32, *dist, point),
-            ));
-        }
-    }
-    for (partition, bucket) in partitioned_s.partitions.iter().enumerate() {
-        for (point, dist) in bucket {
-            input.push((
-                partition as u32,
-                EncodedRecord::from_parts(RecordKind::S, partition as u32, *dist, point),
-            ));
+    for (kind, partitioned) in [
+        (RecordKind::R, partitioned_r),
+        (RecordKind::S, partitioned_s),
+    ] {
+        for (partition, bucket) in partitioned.partitions.iter().enumerate() {
+            let partition = partition as u32;
+            for &(point, dist) in bucket {
+                input.push((partition, Record::new(kind, partition, dist, point)));
+            }
         }
     }
     input
@@ -380,30 +370,29 @@ fn build_job2_input(
 
 /// Mapper of job 2 (Algorithm 3, lines 3–11): `R` objects go to the reducer of
 /// their group; `S` objects go to every group whose lower bound admits them.
-struct RouteMapper {
-    group_of: Arc<Vec<usize>>,
-    group_lb: Arc<Vec<Vec<f64>>>,
+struct RouteMapper<'a> {
+    group_of: &'a [usize],
+    group_lb: &'a [Vec<f64>],
 }
 
-impl Mapper for RouteMapper {
+impl<'a> Mapper for RouteMapper<'a> {
     type KIn = u32;
-    type VIn = EncodedRecord;
+    type VIn = Record<'a>;
     type KOut = u32;
-    type VOut = EncodedRecord;
+    type VOut = Record<'a>;
 
-    fn map(&self, key: &u32, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
+    fn map(&self, key: &u32, record: &Record<'a>, ctx: &mut MapContext<u32, Record<'a>>) {
         let partition = *key as usize;
-        let record = value.decode();
         match record.kind {
             RecordKind::R => {
                 ctx.counters().increment(counters::R_RECORDS);
-                ctx.emit(self.group_of[partition] as u32, value.clone());
+                ctx.emit(self.group_of[partition] as u32, *record);
             }
             RecordKind::S => {
                 for (group, bounds) in self.group_lb.iter().enumerate() {
                     if record.pivot_distance >= bounds[partition] {
                         ctx.counters().increment(counters::S_RECORDS);
-                        ctx.emit(group as u32, value.clone());
+                        ctx.emit(group as u32, *record);
                     }
                 }
             }
@@ -413,23 +402,23 @@ impl Mapper for RouteMapper {
 
 /// Reducer of job 2 (Algorithm 3, lines 12–25): the bounded, pruned
 /// nested-loop kNN join for one group.
-struct PgbjJoinReducer {
-    tables: Arc<SummaryTables>,
-    theta: Arc<Vec<f64>>,
+struct PgbjJoinReducer<'a> {
+    tables: &'a SummaryTables,
+    theta: &'a [f64],
     k: usize,
     metric: DistanceMetric,
 }
 
-impl Reducer for PgbjJoinReducer {
+impl<'a> Reducer for PgbjJoinReducer<'a> {
     type KIn = u32;
-    type VIn = EncodedRecord;
+    type VIn = Record<'a>;
     type KOut = u64;
     type VOut = Vec<Neighbor>;
 
     fn reduce(
         &self,
         _group: &u32,
-        values: &[EncodedRecord],
+        values: &[Record<'a>],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
         // Parse the group's R objects by partition and the received S subset
@@ -442,7 +431,7 @@ impl Reducer for PgbjJoinReducer {
             // Sort the S partitions by pivot distance to p_i (line 14): close
             // partitions are likelier to contain near neighbours, which
             // tightens θ early.
-            let s_order = order_s_partitions(&s_parts, i, &self.tables);
+            let s_order = order_s_partitions(&s_parts, i, self.tables);
             let theta_i = self.theta[i];
 
             for (r_obj, r_pivot_dist) in r_bucket {
@@ -452,7 +441,7 @@ impl Reducer for PgbjJoinReducer {
                     i,
                     &s_parts,
                     &s_order,
-                    &self.tables,
+                    self.tables,
                     theta_i,
                     self.k,
                     self.metric,
@@ -728,8 +717,7 @@ mod tests {
         assert_eq!(m.shuffle_records, job1_batches + job2_records);
         // Job 1 ships every record once plus one u32 cell key per batch; job
         // 2 ships every routed record with its u32 group key.
-        let record_bytes =
-            geom::Record::new(RecordKind::R, 0, 0.0, r.points()[0].clone()).encoded_len() as u64;
+        let record_bytes = Record::new(RecordKind::R, 0, 0.0, &r.points()[0]).encoded_len() as u64;
         assert_eq!(
             m.shuffle_bytes,
             600 * record_bytes + 4 * job1_batches + job2_records * (record_bytes + 4)

@@ -34,7 +34,7 @@
 
 use crate::algorithms::blocks::MergeMapper;
 use crate::algorithms::common::{
-    counters, probe_in_chunks, EncodedRecord, NeighborListValue, ScanCounts,
+    counters, probe_in_chunks, NeighborListValue, Record, RecordKind, ScanCounts,
 };
 use crate::algorithms::KnnJoinAlgorithm;
 use crate::context::ExecutionContext;
@@ -43,9 +43,8 @@ use crate::exact::validate_inputs;
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::{JoinError, JoinResult, JoinRow};
 use geom::zorder::{random_shifts, ZQuantizer, ZValue, MAX_Z_BITS};
-use geom::{CoordMatrix, DistanceMetric, NeighborList, Point, PointId, PointSet, RecordKind};
+use geom::{CoordMatrix, DistanceMetric, NeighborList, Point, PointId, PointSet};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of [`Zknn`].
@@ -159,16 +158,16 @@ impl KnnJoinAlgorithm for Zknn {
 
         // ---- Driver: quantizer, shifts and slab boundaries -----------------
         let start = Instant::now();
-        let shared = Arc::new(ZknnShared::build(r, s, k, cfg));
+        let shared = ZknnShared::build(r, s, k, cfg);
         metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
 
         // ---- Job 1: per-copy z-order slabs, 2k z-neighbour candidates ------
         let mut input = Vec::with_capacity(r.len() + s.len());
         for p in r {
-            input.push((p.id, EncodedRecord::from_parts(RecordKind::R, 0, 0.0, p)));
+            input.push((p.id, Record::new(RecordKind::R, 0, 0.0, p)));
         }
         for p in s {
-            input.push((p.id, EncodedRecord::from_parts(RecordKind::S, 0, 0.0, p)));
+            input.push((p.id, Record::new(RecordKind::S, 0, 0.0, p)));
         }
         let start = Instant::now();
         let join_job = JobBuilder::new("zknn-join")
@@ -177,11 +176,9 @@ impl KnnJoinAlgorithm for Zknn {
             .workers(ctx.workers())
             .run_with_partitioner(
                 input,
-                &ZRouteMapper {
-                    shared: Arc::clone(&shared),
-                },
+                &ZRouteMapper { shared: &shared },
                 &ZSlabReducer {
-                    shared: Arc::clone(&shared),
+                    shared: &shared,
                     k,
                     metric,
                 },
@@ -368,18 +365,17 @@ impl ZknnShared {
 /// Mapper of job 1: for every shifted copy, route each `R` record to its
 /// z-slab and each `S` record to every slab whose padded z-window contains it
 /// (its own slab plus, near boundaries, the neighbour it pads).
-struct ZRouteMapper {
-    shared: Arc<ZknnShared>,
+struct ZRouteMapper<'a> {
+    shared: &'a ZknnShared,
 }
 
-impl Mapper for ZRouteMapper {
+impl<'a> Mapper for ZRouteMapper<'a> {
     type KIn = u64;
-    type VIn = EncodedRecord;
+    type VIn = Record<'a>;
     type KOut = u32;
-    type VOut = EncodedRecord;
+    type VOut = Record<'a>;
 
-    fn map(&self, _key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
-        let record = value.decode();
+    fn map(&self, _key: &u64, record: &Record<'a>, ctx: &mut MapContext<u32, Record<'a>>) {
         let slabs = self.shared.slabs;
         for copy in 0..self.shared.copies.len() {
             let z = self.shared.z(copy, &record.point.coords);
@@ -387,14 +383,14 @@ impl Mapper for ZRouteMapper {
                 RecordKind::R => {
                     let slab = self.shared.slab_of(copy, z);
                     ctx.counters().increment(counters::R_RECORDS);
-                    ctx.emit((copy * slabs + slab) as u32, value.clone());
+                    ctx.emit((copy * slabs + slab) as u32, *record);
                 }
                 RecordKind::S => {
                     let bounds = &self.shared.copies[copy];
                     for slab in 0..slabs {
                         if z >= bounds.pad_lo[slab] && z <= bounds.pad_hi[slab] {
                             ctx.counters().increment(counters::S_RECORDS);
-                            ctx.emit((copy * slabs + slab) as u32, value.clone());
+                            ctx.emit((copy * slabs + slab) as u32, *record);
                         }
                     }
                 }
@@ -407,29 +403,28 @@ impl Mapper for ZRouteMapper {
 /// z-value and answer every local `r` from the candidate window around its
 /// z-position — `z_window · k` preceding and following — with true
 /// distances.
-struct ZSlabReducer {
-    shared: Arc<ZknnShared>,
+struct ZSlabReducer<'a> {
+    shared: &'a ZknnShared,
     k: usize,
     metric: DistanceMetric,
 }
 
-impl Reducer for ZSlabReducer {
+impl<'a> Reducer for ZSlabReducer<'a> {
     type KIn = u32;
-    type VIn = EncodedRecord;
+    type VIn = Record<'a>;
     type KOut = u64;
     type VOut = NeighborListValue;
 
     fn reduce(
         &self,
         key: &u32,
-        values: &[EncodedRecord],
+        values: &[Record<'a>],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
         let copy = *key as usize / self.shared.slabs;
-        let mut r_block: Vec<(ZValue, Point)> = Vec::new();
-        let mut s_block: Vec<(ZValue, Point)> = Vec::new();
-        for value in values {
-            let record = value.decode();
+        let mut r_block: Vec<(ZValue, &Point)> = Vec::new();
+        let mut s_block: Vec<(ZValue, &Point)> = Vec::new();
+        for record in values {
             let z = self.shared.z(copy, &record.point.coords);
             match record.kind {
                 RecordKind::R => r_block.push((z, record.point)),

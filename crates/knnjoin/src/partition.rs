@@ -63,15 +63,17 @@ pub struct AssignedPoint {
     pub pivot_distance: f64,
 }
 
-/// A dataset split into Voronoi partitions.
+/// A dataset split into Voronoi partitions.  The objects are owned
+/// [`Point`]s by default; PGBJ's partitioning job keeps `&Point` borrows of
+/// its input instead.
 #[derive(Debug, Clone, Default)]
-pub struct PartitionedDataset {
+pub struct PartitionedDataset<P = Point> {
     /// `partitions[i]` holds the objects assigned to pivot `i`, each paired
     /// with its distance to that pivot.
-    pub partitions: Vec<Vec<(Point, f64)>>,
+    pub partitions: Vec<Vec<(P, f64)>>,
 }
 
-impl PartitionedDataset {
+impl<P> PartitionedDataset<P> {
     /// Number of partitions (equals the number of pivots).
     pub fn partition_count(&self) -> usize {
         self.partitions.len()

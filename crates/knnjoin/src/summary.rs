@@ -74,11 +74,11 @@ impl SummaryTables {
     ///
     /// # Panics
     /// Panics if the two partitionings disagree with the number of pivots.
-    pub fn build(
+    pub fn build<P>(
         pivots: Vec<Point>,
         metric: DistanceMetric,
-        partitioned_r: &PartitionedDataset,
-        partitioned_s: &PartitionedDataset,
+        partitioned_r: &PartitionedDataset<P>,
+        partitioned_s: &PartitionedDataset<P>,
         k: usize,
     ) -> Self {
         assert_eq!(
@@ -133,7 +133,7 @@ impl SummaryTables {
 /// Builds the `T_R` side of the tables alone.  The prepared serving path uses
 /// this per query: `R` summaries depend on the probe batch, while the `S`
 /// summaries and pivot matrix are captured once at build time.
-pub fn build_r_summaries(partitioned_r: &PartitionedDataset) -> Vec<RPartitionSummary> {
+pub fn build_r_summaries<P>(partitioned_r: &PartitionedDataset<P>) -> Vec<RPartitionSummary> {
     partitioned_r
         .partitions
         .iter()
@@ -151,7 +151,10 @@ pub fn build_r_summaries(partitioned_r: &PartitionedDataset) -> Vec<RPartitionSu
 }
 
 /// Builds the `T_S` side of the tables alone (see [`build_r_summaries`]).
-pub fn build_s_summaries(partitioned_s: &PartitionedDataset, k: usize) -> Vec<SPartitionSummary> {
+pub fn build_s_summaries<P>(
+    partitioned_s: &PartitionedDataset<P>,
+    k: usize,
+) -> Vec<SPartitionSummary> {
     partitioned_s
         .partitions
         .iter()
@@ -184,7 +187,7 @@ pub(crate) fn k_smallest_ascending(mut dists: Vec<f64>, k: usize) -> Vec<f64> {
 
 /// `(L, U)` of a partition; empty partitions report `(0, 0)` like an absent
 /// row in the paper's tables.
-fn bounds_of(bucket: &[(Point, f64)]) -> (f64, f64) {
+fn bounds_of<P>(bucket: &[(P, f64)]) -> (f64, f64) {
     if bucket.is_empty() {
         return (0.0, 0.0);
     }

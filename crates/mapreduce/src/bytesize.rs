@@ -6,8 +6,6 @@
 //! [`ByteSize`], reporting how many bytes its serialised form would occupy on
 //! the wire.  The engine sums these sizes for every emitted intermediate pair.
 
-use bytes::Bytes;
-
 /// Number of bytes a value would occupy when serialised for the shuffle.
 pub trait ByteSize {
     /// Serialised size in bytes.
@@ -40,12 +38,6 @@ impl ByteSize for String {
 }
 
 impl ByteSize for &str {
-    fn byte_size(&self) -> usize {
-        4 + self.len()
-    }
-}
-
-impl ByteSize for Bytes {
     fn byte_size(&self) -> usize {
         4 + self.len()
     }
@@ -95,9 +87,8 @@ mod tests {
     }
 
     #[test]
-    fn string_and_bytes_include_length_prefix() {
+    fn strings_include_length_prefix() {
         assert_eq!("abc".to_string().byte_size(), 7);
-        assert_eq!(Bytes::from_static(b"abcd").byte_size(), 8);
         assert_eq!("abc".byte_size(), 7);
     }
 

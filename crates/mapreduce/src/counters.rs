@@ -4,6 +4,11 @@
 //! computations", "replicated S objects"); the driver reads them after the job
 //! completes.  The kNN-join crate uses counters to report the paper's
 //! *computation selectivity* and *replication* metrics.
+//!
+//! Like Hadoop, the engine adds task counters up once per task, not once per
+//! record: each task tallies into its own lock-free [`TaskCounters`], and the
+//! engine folds that tally into the job's shared [`Counters`] when the task
+//! ends.
 
 use crate::sync::{ranks, RankedMutex};
 use std::collections::BTreeMap;
@@ -51,8 +56,7 @@ impl Counters {
 
     /// Adds `delta` to the counter `name`, creating it at zero if absent.
     pub fn add(&self, name: &str, delta: u64) {
-        let mut map = self.inner.lock();
-        *map.entry(name.to_string()).or_insert(0) += delta;
+        bump(&mut self.inner.lock(), name, delta);
     }
 
     /// Increments the counter `name` by one.
@@ -74,9 +78,66 @@ impl Counters {
     pub fn merge(&self, other: &Counters) {
         let other_snapshot = other.snapshot();
         let mut map = self.inner.lock();
-        for (k, v) in other_snapshot {
-            *map.entry(k).or_insert(0) += v;
+        for (k, v) in &other_snapshot {
+            bump(&mut map, k, *v);
         }
+    }
+
+    /// Folds one task's tally into this set, taking the lock once.
+    pub fn merge_task(&self, task: &TaskCounters) {
+        let mut map = self.inner.lock();
+        for &(name, delta) in &task.tally {
+            bump(&mut map, name, delta);
+        }
+    }
+}
+
+/// Adds `delta` to `name`, allocating the key only when the counter is new.
+fn bump(map: &mut BTreeMap<String, u64>, name: &str, delta: u64) {
+    match map.get_mut(name) {
+        Some(count) => *count += delta,
+        None => {
+            map.insert(name.to_string(), delta);
+        }
+    }
+}
+
+/// One task's private counter tally.
+///
+/// A map or reduce task increments these without any lock or allocation per
+/// call (names are `&'static str`, and a task touches only a handful, so a
+/// linear scan finds them); the engine folds the tally into the job's
+/// [`Counters`] once, when the task ends.
+#[derive(Debug, Clone, Default)]
+pub struct TaskCounters {
+    tally: Vec<(&'static str, u64)>,
+}
+
+impl TaskCounters {
+    /// Creates an empty tally.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `delta` to the counter `name`, creating it at zero if absent.
+    pub fn add(&mut self, name: &'static str, delta: u64) {
+        match self.tally.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, count)) => *count += delta,
+            None => self.tally.push((name, delta)),
+        }
+    }
+
+    /// Increments the counter `name` by one.
+    pub fn increment(&mut self, name: &'static str) {
+        self.add(name, 1);
+    }
+
+    /// Current value of the counter `name` in this tally (zero if untouched).
+    pub fn get(&self, name: &str) -> u64 {
+        self.tally
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, count)| *count)
     }
 }
 
@@ -112,6 +173,20 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get("x"), 3);
         assert_eq!(a.get("y"), 7);
+    }
+
+    #[test]
+    fn task_tallies_fold_into_the_shared_set() {
+        let job = Counters::new();
+        job.add("x", 1);
+        let mut task = TaskCounters::new();
+        task.increment("x");
+        task.add("y", 4);
+        task.add("x", 2);
+        assert_eq!((task.get("x"), task.get("y"), task.get("z")), (3, 4, 0));
+        job.merge_task(&task);
+        job.merge_task(&task);
+        assert_eq!((job.get("x"), job.get("y")), (7, 8));
     }
 
     #[test]

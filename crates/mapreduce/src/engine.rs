@@ -17,7 +17,9 @@
 //!    performed inside the parallel region) and runs the [`Reducer`], and
 //! 5. per-phase timings, shuffle volume and counters (including the built-in
 //!    [`crate::counters::builtin`] shuffle counters) are reported as
-//!    [`JobMetrics`].
+//!    [`JobMetrics`].  Tasks count into a private
+//!    [`crate::counters::TaskCounters`] tally that is folded into the job's
+//!    counters once per task, so no record takes a lock.
 //!
 //! Output order is deterministic regardless of the worker-pool size: reduce
 //! partitions appear in partition order, keys ascend within a partition, and
@@ -59,9 +61,10 @@ where
             .map(|(i, t)| f(i, t))
             .collect();
     }
-    // The task closure `f` runs with the slot guard held and may take the
-    // counters lock (rank engine.counters > engine.slot), so the nesting
-    // queue < slot < counters stays within the declared order.
+    // Each lock is taken alone: the queue guard drops before `f` runs, and
+    // `f` returns before its slot is locked to store the result.  A map or
+    // reduce task takes `engine.counters` once inside `f`, after its last
+    // record, to fold in its task-local tally; it holds no other lock then.
     let queue: RankedMutex<VecDeque<(usize, T)>> = RankedMutex::new(
         ranks::ENGINE_QUEUE,
         "engine.queue",
@@ -269,12 +272,13 @@ impl JobBuilder {
         let map_tasks = splits.len().max(1);
         let map_results: Vec<Vec<PartitionBuffer<M::KOut, M::VOut>>> =
             parallel_map(splits, workers, |task_id, split| {
-                let mut ctx = MapContext::new(task_id, counters.clone());
+                let mut ctx = MapContext::new(task_id);
                 mapper.setup(&mut ctx);
                 for (k, v) in &split {
                     mapper.map(k, v, &mut ctx);
                 }
                 mapper.cleanup(&mut ctx);
+                counters.merge_task(&ctx.counters);
                 route(ctx.emitted, partitioner, num_reducers)
             });
         let map_time = map_start.elapsed();
@@ -313,12 +317,13 @@ impl JobBuilder {
                         groups.entry(k).or_default().push(v);
                     }
                 }
-                let mut ctx = ReduceContext::new(task_id, counters.clone());
+                let mut ctx = ReduceContext::new(task_id);
                 reducer.setup(&mut ctx);
                 for (k, vs) in &groups {
                     reducer.reduce(k, vs, &mut ctx);
                 }
                 reducer.cleanup(&mut ctx);
+                counters.merge_task(&ctx.counters);
                 ctx.emitted
             });
         let reduce_time = reduce_start.elapsed();
@@ -529,16 +534,63 @@ mod tests {
             type VIn = u64;
             type KOut = u64;
             type VOut = u64;
+            fn setup(&self, ctx: &mut MapContext<u64, u64>) {
+                ctx.counters().increment("map_setup");
+            }
             fn map(&self, k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>) {
                 ctx.counters().increment("mapped");
+                ctx.counters().add("mapped_value", *v);
                 ctx.emit(*k, *v);
             }
+            fn cleanup(&self, ctx: &mut MapContext<u64, u64>) {
+                ctx.counters().add("map_cleanup", 2);
+            }
         }
-        let out = JobBuilder::new("counting")
-            .reducers(2)
-            .run(pairs(50), &CountingMap, &SumRed)
-            .unwrap();
-        assert_eq!(out.metrics.counters.get("mapped"), 50);
+        struct CountingRed;
+        impl Reducer for CountingRed {
+            type KIn = u64;
+            type VIn = u64;
+            type KOut = u64;
+            type VOut = u64;
+            fn setup(&self, ctx: &mut ReduceContext<u64, u64>) {
+                ctx.counters().increment("red_setup");
+            }
+            fn reduce(&self, k: &u64, vs: &[u64], ctx: &mut ReduceContext<u64, u64>) {
+                ctx.counters().add("reduced", vs.len() as u64);
+                ctx.emit(*k, vs.iter().sum());
+            }
+            fn cleanup(&self, ctx: &mut ReduceContext<u64, u64>) {
+                ctx.counters().increment("red_cleanup");
+            }
+        }
+        // Seven map tasks and five reduce tasks on fewer workers: every
+        // worker runs several tasks, and each task folds in its own tally.
+        let totals = |workers: usize| {
+            let out = JobBuilder::new("counting")
+                .reducers(5)
+                .map_tasks(7)
+                .workers(workers)
+                .run(pairs(50), &CountingMap, &CountingRed)
+                .unwrap();
+            out.metrics.counters.snapshot()
+        };
+        let one = totals(1);
+        let expect: BTreeMap<String, u64> = [
+            ("map_cleanup", 14),
+            ("map_setup", 7),
+            ("mapped", 50),
+            ("mapped_value", (0..50).sum()),
+            ("red_cleanup", 5),
+            ("red_setup", 5),
+            ("reduced", 50),
+            (builtin::SHUFFLE_BYTES, 50 * 16),
+            (builtin::SHUFFLE_RECORDS, 50),
+        ]
+        .into_iter()
+        .map(|(name, count)| (name.to_string(), count))
+        .collect();
+        assert_eq!(one, expect);
+        assert_eq!(totals(4), one);
     }
 
     #[test]

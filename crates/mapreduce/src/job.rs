@@ -2,7 +2,7 @@
 //! contexts through which they emit intermediate and final pairs.
 
 use crate::bytesize::ByteSize;
-use crate::counters::Counters;
+use crate::counters::TaskCounters;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -107,23 +107,23 @@ impl Partitioner<usize> for IdentityPartitioner {
     }
 }
 
-/// Context handed to a map task; collects emitted intermediate pairs and their
-/// shuffle size.
+/// Context handed to a map task; collects emitted intermediate pairs (the
+/// engine accounts their shuffle bytes while routing them).
 #[derive(Debug)]
 pub struct MapContext<K, V> {
     pub(crate) emitted: Vec<(K, V)>,
-    pub(crate) counters: Counters,
+    pub(crate) counters: TaskCounters,
     pub(crate) task_id: usize,
 }
 
-impl<K: ByteSize, V: ByteSize> MapContext<K, V> {
+impl<K, V> MapContext<K, V> {
     /// Creates a standalone context.  The engine builds contexts itself; this
     /// constructor exists so mapper implementations can be unit-tested in
     /// isolation.
-    pub fn new(task_id: usize, counters: Counters) -> Self {
+    pub fn new(task_id: usize) -> Self {
         Self {
             emitted: Vec::new(),
-            counters,
+            counters: TaskCounters::new(),
             task_id,
         }
     }
@@ -138,19 +138,10 @@ impl<K: ByteSize, V: ByteSize> MapContext<K, V> {
         &self.emitted
     }
 
-    /// The byte volume of the pairs emitted so far (computed on demand for
-    /// unit-testing mappers; the engine accounts the shuffle volume itself
-    /// while routing, so the emit hot path does no byte accounting).
-    pub fn emitted_bytes(&self) -> u64 {
-        self.emitted
-            .iter()
-            .map(|(k, v)| (k.byte_size() + v.byte_size()) as u64)
-            .sum()
-    }
-
-    /// The job's shared counters.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    /// This task's counter tally; the engine folds it into the job's
+    /// counters when the task ends.
+    pub fn counters(&mut self) -> &mut TaskCounters {
+        &mut self.counters
     }
 
     /// Index of the map task executing this context (0-based).
@@ -163,7 +154,7 @@ impl<K: ByteSize, V: ByteSize> MapContext<K, V> {
 #[derive(Debug)]
 pub struct ReduceContext<K, V> {
     pub(crate) emitted: Vec<(K, V)>,
-    pub(crate) counters: Counters,
+    pub(crate) counters: TaskCounters,
     pub(crate) task_id: usize,
 }
 
@@ -171,10 +162,10 @@ impl<K, V> ReduceContext<K, V> {
     /// Creates a standalone context.  The engine builds contexts itself; this
     /// constructor exists so reducer implementations can be unit-tested in
     /// isolation.
-    pub fn new(task_id: usize, counters: Counters) -> Self {
+    pub fn new(task_id: usize) -> Self {
         Self {
             emitted: Vec::new(),
-            counters,
+            counters: TaskCounters::new(),
             task_id,
         }
     }
@@ -189,9 +180,10 @@ impl<K, V> ReduceContext<K, V> {
         &self.emitted
     }
 
-    /// The job's shared counters.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    /// This task's counter tally; the engine folds it into the job's
+    /// counters when the task ends.
+    pub fn counters(&mut self) -> &mut TaskCounters {
+        &mut self.counters
     }
 
     /// Index of the reduce task executing this context (0-based).
@@ -238,18 +230,8 @@ mod tests {
     }
 
     #[test]
-    fn map_context_accounts_bytes() {
-        let mut ctx: MapContext<u32, u64> = MapContext::new(0, Counters::new());
-        ctx.emit(1, 2);
-        ctx.emit(3, 4);
-        assert_eq!(ctx.emitted.len(), 2);
-        assert_eq!(ctx.emitted_bytes(), 2 * (4 + 8));
-        assert_eq!(ctx.task_id(), 0);
-    }
-
-    #[test]
     fn reduce_context_collects_output() {
-        let mut ctx: ReduceContext<String, u32> = ReduceContext::new(3, Counters::new());
+        let mut ctx: ReduceContext<String, u32> = ReduceContext::new(3);
         ctx.emit("a".into(), 1);
         ctx.counters().increment("seen");
         assert_eq!(ctx.emitted.len(), 1);

@@ -12,7 +12,8 @@
 //!   **accounts every byte** that crosses it (the paper's "shuffling cost"
 //!   metric, Figures 8c–12c), and
 //! * exposes Hadoop-style [`Counters`] — including the built-in
-//!   [`counters::builtin`] shuffle counters — and per-phase wall-clock
+//!   [`counters::builtin`] shuffle counters, and added up once per task from
+//!   each task's lock-free [`TaskCounters`] — and per-phase wall-clock
 //!   timings ([`JobMetrics`]).
 //!
 //! Like the paper's algorithms, the joins cut shuffle cost by choosing what
@@ -75,7 +76,7 @@ pub mod metrics;
 pub mod sync;
 
 pub use bytesize::ByteSize;
-pub use counters::Counters;
+pub use counters::{Counters, TaskCounters};
 pub use engine::{default_workers, parallel_map, JobBuilder, JobError, JobOutput};
 pub use job::{
     HashPartitioner, IdentityPartitioner, MapContext, Mapper, Partitioner, ReduceContext, Reducer,

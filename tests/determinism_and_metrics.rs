@@ -53,27 +53,49 @@ fn repeated_runs_are_bit_identical() {
 #[test]
 fn worker_pool_size_does_not_change_results() {
     // The ExecutionContext owns physical parallelism; logical results and
-    // cost accounting must be identical whatever the pool size.
+    // cost accounting must be identical whatever the pool size — for every
+    // MapReduce join, whose tasks fold their counters in whatever order the
+    // workers finish them.
     let r = workload(21);
     let s = workload(22);
-    let run_with_workers = |workers: usize| {
-        let ctx = ExecutionContext::builder().workers(workers).build();
-        Join::new(&r, &s)
-            .k(5)
-            .algorithm(Algorithm::Pgbj)
-            .pivot_count(16)
-            .reducers(4)
-            .run(&ctx)
-            .unwrap()
-    };
-    let single = run_with_workers(1);
-    let pooled = run_with_workers(8);
-    assert!(single.matches(&pooled, 0.0));
-    assert_eq!(single.metrics.shuffle_bytes, pooled.metrics.shuffle_bytes);
-    assert_eq!(
-        single.metrics.distance_computations,
-        pooled.metrics.distance_computations
-    );
+    for algorithm in [
+        Algorithm::Pgbj,
+        Algorithm::Pbj,
+        Algorithm::Hbrj,
+        Algorithm::Zknn,
+        Algorithm::BroadcastJoin,
+    ] {
+        let run_with_workers = |workers: usize| {
+            let ctx = ExecutionContext::builder().workers(workers).build();
+            Join::new(&r, &s)
+                .k(5)
+                .algorithm(algorithm)
+                .pivot_count(16)
+                .reducers(4)
+                .run(&ctx)
+                .unwrap()
+        };
+        let single = run_with_workers(1);
+        let pooled = run_with_workers(8);
+        assert!(single.matches(&pooled, 0.0), "{algorithm:?}");
+        let counted = |m: &knnjoin::JoinMetrics| {
+            [
+                m.r_records_shuffled,
+                m.s_records_shuffled,
+                m.pivot_assignment_computations,
+                m.index_builds,
+                m.shuffle_bytes,
+                m.shuffle_records,
+                m.distance_computations,
+            ]
+        };
+        assert_eq!(
+            counted(&single.metrics),
+            counted(&pooled.metrics),
+            "{algorithm:?}"
+        );
+        assert!(single.metrics.shuffle_records > 0, "{algorithm:?}");
+    }
 }
 
 #[test]
@@ -120,8 +142,8 @@ fn join_cardinality_matches_definition() {
 
 #[test]
 fn shuffle_accounting_matches_record_sizes() {
-    // Every shuffled record of both PGBJ jobs is a serialised `Record`, so
-    // the byte counter is exactly predictable: job 1 ships every record of
+    // Every shuffled record of both PGBJ jobs is charged its `Record` wire
+    // size, so the byte counter is exactly predictable: job 1 ships every record of
     // R ∪ S once, batched per (map task, Voronoi cell) under one u32 cell
     // key; job 2 ships the routed records, each with a u32 group key.
     let r = workload(7);
@@ -171,8 +193,13 @@ fn shuffle_accounting_matches_record_sizes() {
     let m = &result.metrics;
     let job2_records = m.r_records_shuffled + m.s_records_shuffled;
     assert_eq!(m.shuffle_records, job1_batches + job2_records);
-    let record_bytes =
-        geom::Record::new(geom::RecordKind::R, 0, 0.0, r.points()[0].clone()).encoded_len() as u64;
+    let record_bytes = knnjoin::algorithms::common::Record::new(
+        knnjoin::algorithms::common::RecordKind::R,
+        0,
+        0.0,
+        &r.points()[0],
+    )
+    .encoded_len() as u64;
     assert_eq!(
         m.shuffle_bytes,
         n * record_bytes + 4 * job1_batches + job2_records * (record_bytes + 4)
